@@ -147,7 +147,7 @@ def compute_specification(rules: Sequence[Rule],
                           max_window: int = 1 << 20,
                           engine: str = "seminaive",
                           stats=None, tracer=None, metrics=None,
-                          provenance=None) -> RelationalSpec:
+                          provenance=None, deadline=None) -> RelationalSpec:
     """Compute the relational specification ``S(Z∧D)``.
 
     Runs algorithm BT (semi-naive, with period detection) and packages
@@ -163,10 +163,12 @@ def compute_specification(rules: Sequence[Rule],
     nothing absent) — the serving tier passes a fresh
     :class:`~repro.obs.metrics.MetricsRegistry` and a sampled
     :class:`~repro.obs.provenance.ProvenanceStore` here so every spec
-    computation feeds the continuous per-rule profile.
+    computation feeds the continuous per-rule profile.  ``deadline``
+    bounds BT's deepening loop (see :func:`bt_evaluate`).
     """
     result = bt_evaluate(rules, database, window=window,
                          range_bound=range_bound, max_window=max_window,
                          engine=engine, stats=stats, tracer=tracer,
-                         metrics=metrics, provenance=provenance)
+                         metrics=metrics, provenance=provenance,
+                         deadline=deadline)
     return spec_from_result(result)

@@ -67,6 +67,11 @@ class EvaluationError(ReproError):
     """
 
 
+class DeadlineExceeded(EvaluationError):
+    """Raised when a deadline passes before BT's next deepening pass, or
+    while the query service waits on another computation of a program."""
+
+
 class ClassificationError(ReproError):
     """Raised when a classifier's preconditions are not met.
 

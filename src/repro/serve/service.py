@@ -18,14 +18,15 @@ spec once, and canonicalises each query through the same ``W``.
 Deadlines and graceful degradation
 ----------------------------------
 
-A request may carry ``deadline`` seconds.  Spec computation then runs as
-budgeted iterative deepening (the certified BT deepening, with the clock
-checked between window enlargements).  When the budget expires before a
-certified period is found — or BT finds no period at all — the service
-*degrades* instead of failing: the query is answered by a windowed BT
-evaluation whose horizon covers the query's ground timepoints, and the
-response is marked ``degraded`` (quantified answers are then relative to
-the window, not the infinite model).
+A request may carry ``deadline`` seconds, one budget that the key-lock
+wait, the peer-flight poll and BT's deepening loop (checked before every
+pass) all spend.  When it runs out before a period is found — or BT
+finds no period at all — the service *degrades* instead of failing: the
+query is answered by a windowed BT evaluation whose horizon covers the
+query's ground timepoints, and the response is marked ``degraded``
+(quantified answers are then relative to the window, not the infinite
+model).  A ground timepoint past :data:`DEGRADED_MAX_WINDOW` (or the
+database depth) is answered ``ok=False`` instead.
 
 Admission control
 -----------------
@@ -46,7 +47,8 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from typing import Sequence, Union
 
 from ..core.queries import (Query, answers as spec_answers,
@@ -55,7 +57,7 @@ from ..core.queries import (Query, answers as spec_answers,
 from ..core.spec import RelationalSpec, compute_specification
 from ..core.tdd import TDD
 from ..engines import QUERY_ENGINES, canonical_window_engine
-from ..lang.errors import EvaluationError, ReproError
+from ..lang.errors import DeadlineExceeded, EvaluationError, ReproError
 from ..obs.telemetry import LatencyHistogram, Span, Telemetry
 from ..temporal.bt import bt_evaluate
 from .cache import SpecCache, tdd_key
@@ -63,8 +65,12 @@ from .cache import SpecCache, tdd_key
 #: Spec source tag for a cache miss filled by this service.
 COMPUTED = "computed"
 
-#: Default horizon of the degraded (windowed) evaluation path.
+#: Smallest horizon of the degraded (windowed) evaluation path.
 DEGRADED_WINDOW = 64
+
+#: Deepest horizon of the degraded path (unless the database reaches
+#: further): the budget is spent, so its cost must stay bounded.
+DEGRADED_MAX_WINDOW = 4096
 
 #: Longest a thread will poll a *peer process's* in-flight spec
 #: computation (seconds) before failing open and computing itself.
@@ -76,10 +82,6 @@ PEER_WAIT_LIMIT = 10.0
 #: server answering many requests for the same program must not redo
 #: either per request.
 PARSE_MEMO_SIZE = 32
-
-
-class DeadlineExceeded(Exception):
-    """Raised internally when a spec cannot be computed in budget."""
 
 
 @dataclass(frozen=True)
@@ -197,23 +199,9 @@ class _ServeCounters:
     spec_computes: int = 0
     singleflight_waits: int = 0
     explained: int = 0
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "max_batch": self.max_batch,
-            "asks": self.asks,
-            "open_queries": self.open_queries,
-            "degraded": self.degraded,
-            "refused": self.refused,
-            "errors": self.errors,
-            "spec_computes": self.spec_computes,
-            "singleflight_waits": self.singleflight_waits,
-            "explained": self.explained,
-        }
+        return asdict(self)
 
 
 class QueryService:
@@ -221,16 +209,12 @@ class QueryService:
 
     def __init__(self, cache: Union[SpecCache, None] = None,
                  default_deadline: Union[float, None] = None,
-                 max_window: int = 1 << 20,
-                 degraded_window: int = DEGRADED_WINDOW,
                  telemetry: Union[Telemetry, None] = None,
                  engine: str = "bt",
                  max_predicted_cost: Union[float, None] = None,
                  collect=None):
         self.cache = cache if cache is not None else SpecCache()
         self.default_deadline = default_deadline
-        self.max_window = max_window
-        self.degraded_window = degraded_window
         #: Optional collection target (:class:`repro.serve.collect.
         #: Collector` locally, :class:`~repro.serve.collect.
         #: CollectorClient` inside a tier worker).  When set, every
@@ -256,8 +240,8 @@ class QueryService:
         self._counters = _ServeCounters()
         self._counters_lock = threading.Lock()
         self._flight_lock = threading.Lock()
-        self._key_locks: dict[str, threading.Lock] = {}
-        self._computes: dict[str, int] = {}
+        #: key -> [lock, threads holding or waiting on it].
+        self._key_locks: dict[str, list] = {}
         self._parse_lock = threading.Lock()
         self._parse_memo: OrderedDict[str, tuple[TDD, str]] = OrderedDict()
         #: Identity this process stamps on cross-process flight leases.
@@ -308,18 +292,35 @@ class QueryService:
 
     # -- spec acquisition (single-flight) --------------------------------
 
-    def _key_lock(self, key: str) -> threading.Lock:
+    @contextmanager
+    def _single_flight(self, key: str, until: Union[float, None]):
+        """Hold ``key``'s lock for the body, waiting until ``until`` at
+        most (:class:`DeadlineExceeded` past it).  The lock is dropped
+        from ``_key_locks`` when its last holder or waiter leaves."""
         with self._flight_lock:
-            lock = self._key_locks.get(key)
-            if lock is None:
-                lock = self._key_locks[key] = threading.Lock()
-            return lock
-
-    def compute_count(self, key: str) -> int:
-        """How many times this service ran BT for ``key`` (tests use
-        this to assert single-flight)."""
-        with self._flight_lock:
-            return self._computes.get(key, 0)
+            entry = self._key_locks.get(key)
+            if entry is None:
+                entry = self._key_locks[key] = [threading.Lock(), 0]
+            entry[1] += 1
+        lock = entry[0]
+        try:
+            timeout = (-1 if until is None
+                       else max(until - time.monotonic(), 0.0))
+            if not lock.acquire(timeout=timeout):
+                with self._counters_lock:
+                    self._counters.singleflight_waits += 1
+                raise DeadlineExceeded(
+                    f"timed out waiting for an in-flight computation of "
+                    f"{key[:12]}…")
+            try:
+                yield
+            finally:
+                lock.release()
+        finally:
+            with self._flight_lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     def _request_engine(self, request: Union[QueryRequest, None]) -> str:
         """The window engine a request runs on (canonical name)."""
@@ -364,37 +365,16 @@ class QueryService:
         if rows:
             self.collect.observe_calibration(rows)
 
-    def _compute(self, tdd: TDD, deadline: Union[float, None],
+    def _compute(self, tdd: TDD, until: Union[float, None],
                  engine: Union[str, None] = None,
                  trace_id: Union[str, None] = None) -> RelationalSpec:
-        engine = engine if engine is not None else self.engine
         metrics, provenance = self._instruments(trace_id)
         try:
-            if deadline is None:
-                return compute_specification(tdd.rules, tdd.database,
-                                             max_window=self.max_window,
-                                             engine=engine,
-                                             metrics=metrics,
-                                             provenance=provenance)
-            start = time.monotonic()
-            window_cap = max(64, 4 * (tdd.database.c + 1))
-            while True:
-                if time.monotonic() - start >= deadline:
-                    raise DeadlineExceeded(
-                        f"spec computation exceeded the {deadline}s "
-                        "budget")
-                try:
-                    return compute_specification(
-                        tdd.rules, tdd.database, max_window=window_cap,
-                        engine=engine, metrics=metrics,
-                        provenance=provenance)
-                except EvaluationError:
-                    if window_cap >= self.max_window:
-                        raise
-                    window_cap = min(window_cap * 4, self.max_window)
+            return compute_specification(
+                tdd.rules, tdd.database,
+                engine=engine if engine is not None else self.engine,
+                metrics=metrics, provenance=provenance, deadline=until)
         finally:
-            # The registry accumulated across deepening retries; one
-            # flush files everything the computation actually did.
             self._observe_compute(metrics)
 
     def specification(self, tdd: TDD,
@@ -406,30 +386,24 @@ class QueryService:
         """The spec for a TDD, via the cache; returns (spec, source).
 
         ``source`` is ``"memory"``, ``"disk"``, or ``"computed"``.
-        Raises :class:`DeadlineExceeded` when computation cannot finish
-        in budget, and :class:`~repro.lang.errors.EvaluationError` when
-        BT finds no period within ``max_window``.  ``key`` lets callers
+        ``deadline`` is a budget in seconds from entry, spent by the
+        key-lock wait, the peer-flight poll and BT's deepening passes
+        alike.  Raises :class:`DeadlineExceeded` when it runs out first,
+        and :class:`~repro.lang.errors.EvaluationError` when BT finds
+        no period within its maximum window.  ``key`` lets callers
         that already know the content key skip re-deriving it;
         ``parent`` is an optional telemetry span the cache-lookup and
         spec-compute child spans hang off; ``engine`` overrides the
         service's window engine for a miss (cache keys are engine-free:
         the spec is the same object whichever engine built it).
         """
+        until = None if deadline is None else time.monotonic() + deadline
         if key is None:
             key = tdd_key(tdd)
         spec, source = self.cache.get_with_source(key, parent=parent)
         if spec is not None:
             return spec, source
-        lock = self._key_lock(key)
-        acquired = lock.acquire(
-            timeout=deadline if deadline is not None else -1)
-        if not acquired:
-            with self._counters_lock:
-                self._counters.singleflight_waits += 1
-            raise DeadlineExceeded(
-                f"timed out waiting for an in-flight computation of "
-                f"{key[:12]}…")
-        try:
+        with self._single_flight(key, until):
             # Double-check: another thread may have filled the cache
             # while this one waited on the key lock.
             spec, source = self.cache.get_with_source(key,
@@ -446,10 +420,9 @@ class QueryService:
             # (fail open and compute if the peer dies or stalls).
             claimed = self.cache.try_claim(key, self._flight_owner)
             if not claimed:
-                wait_limit = PEER_WAIT_LIMIT
-                if deadline is not None:
-                    wait_limit = min(wait_limit, deadline)
-                wait_deadline = time.monotonic() + wait_limit
+                wait_deadline = time.monotonic() + PEER_WAIT_LIMIT
+                if until is not None:
+                    wait_deadline = min(wait_deadline, until)
                 while not claimed:
                     spec, source = self.cache.get_with_source(
                         key, parent=parent)
@@ -463,18 +436,16 @@ class QueryService:
                     claimed = self.cache.try_claim(key,
                                                    self._flight_owner)
             try:
-                with self._flight_lock:
-                    self._computes[key] = self._computes.get(key, 0) + 1
                 with self._counters_lock:
                     self._counters.spec_computes += 1
                 span = (None if parent is None
                         else parent.child("spec.compute", key=key[:12]))
                 try:
                     spec = self._compute(
-                        tdd, deadline, engine=engine,
+                        tdd, until, engine=engine,
                         trace_id=(None if parent is None
                                   else parent.trace_id))
-                except (DeadlineExceeded, EvaluationError) as exc:
+                except EvaluationError as exc:
                     if span is not None:
                         span.set_attribute("error", str(exc))
                     raise
@@ -486,17 +457,20 @@ class QueryService:
             finally:
                 if claimed:
                     self.cache.release_claim(key, self._flight_owner)
-        finally:
-            lock.release()
 
     # -- degraded (windowed) evaluation ----------------------------------
 
     def _degraded_answer(self, tdd: TDD, query: Query,
-                         request: QueryRequest,
+                         request: QueryRequest, reason: EvaluationError,
                          trace_id: Union[str, None] = None
                          ) -> Union[bool, dict]:
-        bound = max(self.degraded_window, max_ground_time(query),
-                    tdd.database.c)
+        depth = max_ground_time(query)
+        limit = max(DEGRADED_MAX_WINDOW, tdd.database.c)
+        if depth > limit:
+            raise EvaluationError(
+                f"no specification ({reason}), and timepoint {depth} lies "
+                f"past the degraded window [0..{limit}]")
+        bound = max(DEGRADED_WINDOW, depth, tdd.database.c)
         metrics, provenance = self._instruments(trace_id)
         try:
             result = bt_evaluate(tdd.rules, tdd.database, window=bound,
@@ -573,7 +547,7 @@ class QueryService:
     def _serve_parsed(self, tdd: TDD, spec: Union[RelationalSpec, None],
                       source: Union[str, None], key: str,
                       request: QueryRequest,
-                      spec_error: Union[Exception, None],
+                      spec_error: Union[EvaluationError, None],
                       parent: Union[Span, None] = None
                       ) -> QueryResponse:
         span = self.telemetry.span("answer", parent=parent,
@@ -592,11 +566,9 @@ class QueryService:
             if spec is None:
                 # Spec unavailable in budget (or no period): windowed
                 # fallback, marked degraded.
-                if not isinstance(spec_error,
-                                  (DeadlineExceeded, EvaluationError)):
-                    raise spec_error  # pragma: no cover - defensive
                 degraded = True
                 answer = self._degraded_answer(tdd, query, request,
+                                               spec_error,
                                                trace_id=span.trace_id)
             elif request.kind == "ask":
                 answer = evaluate(query, spec)
@@ -720,13 +692,13 @@ class QueryService:
                       if overrides else self.engine)
             spec: Union[RelationalSpec, None] = None
             source: Union[str, None] = None
-            spec_error: Union[Exception, None] = None
+            spec_error: Union[EvaluationError, None] = None
             acquire_start = time.monotonic()
             try:
                 spec, source = self.specification(tdd, deadline,
                                                   key=key, parent=root,
                                                   engine=engine)
-            except (DeadlineExceeded, EvaluationError) as exc:
+            except EvaluationError as exc:
                 spec_error = exc
             overhead_ms = (parse_ms
                            + (time.monotonic() - acquire_start) * 1e3)

@@ -35,12 +35,13 @@ exactly how the relational specification of Section 3.3 answers them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ..engines import window_fixpoint
 from ..lang.atoms import Atom, Fact
-from ..lang.errors import EvaluationError
+from ..lang.errors import DeadlineExceeded, EvaluationError
 from ..lang.rules import Rule, validate_rules
 from ..obs.stats import EvalStats
 from ..obs.timing import phase_timer
@@ -200,7 +201,8 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 stats: Union[EvalStats, None] = None,
                 tracer=None, metrics=None,
                 engine: str = "seminaive",
-                provenance=None) -> BTResult:
+                provenance=None,
+                deadline: Union[float, None] = None) -> BTResult:
     """Semi-naive BT with period detection.
 
     ``engine`` selects the window engine each (re-)evaluation runs on
@@ -218,7 +220,9 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
 
     Raises :class:`EvaluationError` if deepening passes ``max_window``
     without a stable period (only possible for very long periods or
-    non-forward rulesets).
+    non-forward rulesets), and :class:`DeadlineExceeded` once the clock
+    reaches ``deadline`` (a :func:`time.monotonic` instant), checked
+    before every deepening pass.
     """
     validate_rules(rules)
     c = database.c
@@ -259,6 +263,9 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
     # (candidate (b, p), the trusted state sequence it was found in).
     previous: Union[tuple[tuple[int, int], list], None] = None
     while m <= max_window:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise DeadlineExceeded(
+                f"deadline passed before the deepening pass at window {m}")
         if provenance is not None:
             # Each deepening pass re-derives the whole window; stale
             # edges from the narrower run would reference facts the

@@ -185,7 +185,8 @@ class TestCorruption:
             QueryRequest(program=EVEN, query="even(10)"))
         assert response.ok and response.answer is True
         assert response.source == "computed"
-        assert service.compute_count(key) == 1
+        assert response.key == key
+        assert service.counters()["spec_computes"] == 1
 
 
 def _racing_put(path: str, barrier, results) -> None:

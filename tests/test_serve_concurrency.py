@@ -11,10 +11,12 @@ The service's contract under concurrency:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
+import repro.temporal.bt as bt
 from repro.serve import QueryRequest, QueryService, SpecCache
 
 THREADS = 16
@@ -105,13 +107,11 @@ class TestConcurrentServing:
             got = [_strip_timing(r) for r in results[worker]]
             assert got == expected, f"worker {worker} diverged"
 
-        # Single-flight: one BT run per distinct program, total.
+        # Single-flight: one BT run per distinct program, total.  The
+        # cache started empty, so every key ran at least once, and a
+        # total equal to the number of keys means each ran exactly once.
         keys = {response["key"] for response in baseline}
         assert len(keys) == 3
-        for key in keys:
-            assert service.compute_count(key) == 1, (
-                f"key {key[:12]} computed "
-                f"{service.compute_count(key)} times")
         assert service.counters()["spec_computes"] == len(keys)
 
         # Counter consistency under interleaving.
@@ -153,6 +153,56 @@ class TestConcurrentServing:
         for thread in threads:
             thread.join(timeout=60)
         assert answers == [(True, True)] * THREADS
-        key = answers and service.serve(
-            QueryRequest(program=EVEN, query="even(0)")).key
-        assert service.compute_count(key) == 1
+        # One key on an empty cache: one BT run among all 16 threads.
+        assert service.counters()["spec_computes"] == 1
+        # Every holder and waiter has left, so its lock is gone too.
+        assert service._key_locks == {}
+
+    def test_timed_out_waiters_release_the_key_lock(self, monkeypatch):
+        """15 zero-deadline threads time out on a key whose computation
+        is held mid-pass; each must leave the lock table as it goes."""
+        service = QueryService(cache=SpecCache())
+        entered, release = threading.Event(), threading.Event()
+        original = bt.evaluate_window
+
+        def held(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=60)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bt, "evaluate_window", held)
+        answers: list = []
+        lock = threading.Lock()
+
+        def run(deadline) -> None:
+            response = service.serve(QueryRequest(
+                program=EVEN, query="even(400)", deadline=deadline))
+            with lock:
+                answers.append((response.ok, response.degraded,
+                                response.answer))
+
+        holder = threading.Thread(target=run, args=(None,))
+        holder.start()
+        assert entered.wait(timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            waiters = [threading.Thread(target=run, args=(0.0,))
+                       for _ in range(THREADS - 1)]
+            for thread in waiters:
+                thread.start()
+            for thread in waiters:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in waiters)
+        assert answers == [(True, True, True)] * (THREADS - 1)
+        assert service.counters()["singleflight_waits"] == THREADS - 1
+        # Only the holder is left on the key.
+        assert [entry[1] for entry in service._key_locks.values()] == [1]
+        release.set()
+        holder.join(timeout=60)
+        assert not holder.is_alive()
+        assert answers[-1] == (True, False, True)
+        assert service._key_locks == {}

@@ -8,12 +8,25 @@ degradation, stats threading, and the JSON-over-HTTP protocol.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+import repro.serve
+import repro.temporal.bt as bt
+from repro.core.spec import compute_specification
+from repro.core.tdd import TDD
+from repro.lang.errors import DeadlineExceeded, EvaluationError
+from repro.lang.pretty import format_program
 from repro.obs import EvalStats
 from repro.serve import QueryRequest, QueryService, SpecCache
+from repro.serve.service import DEGRADED_MAX_WINDOW
+from repro.workloads import coprime_cycles_database, coprime_cycles_program
 
 EVEN = "even(T+2) :- even(T).\neven(0).\n"
+#: Period 385; deadline-free BT deepens through six windows to find it.
+COPRIME = format_program(coprime_cycles_program([5, 7, 11]),
+                         coprime_cycles_database([5, 7, 11]))
 TRAVEL = """
 plane(T+7, X) :- plane(T, X), resort(X), offseason(T).
 plane(T+2, X) :- plane(T, X), resort(X), winter(T).
@@ -34,6 +47,21 @@ holiday(12).
 @pytest.fixture()
 def service():
     return QueryService(cache=SpecCache())
+
+
+def _record_windows(monkeypatch, sleep: float = 0.0) -> list:
+    """Wrap BT's window evaluation: record each horizon, then sleep."""
+    horizons: list = []
+    original = bt.evaluate_window
+
+    def wrapped(rules, database, horizon, *args, **kwargs):
+        horizons.append(horizon)
+        store = original(rules, database, horizon, *args, **kwargs)
+        time.sleep(sleep)
+        return store
+
+    monkeypatch.setattr(bt, "evaluate_window", wrapped)
+    return horizons
 
 
 class TestBatching:
@@ -120,6 +148,65 @@ class TestDeadlines:
                                              query="even(4)"))
         assert response.degraded and response.answer is True
 
+    def test_generous_deadline_runs_the_deadline_free_passes(
+            self, service, monkeypatch):
+        horizons = _record_windows(monkeypatch)
+        response = service.serve(QueryRequest(
+            program=COPRIME, query="tick0(385)", deadline=60.0))
+        assert response.ok and not response.degraded
+        assert response.answer is True
+        # One deepening loop: a budget never restarts BT from its
+        # first window.
+        assert horizons == [48, 96, 192, 384, 768, 1536]
+
+    def test_deadline_stops_deepening_between_passes(self, service,
+                                                     monkeypatch):
+        horizons = _record_windows(monkeypatch, sleep=0.2)
+        tdd = TDD.from_text(COPRIME)
+        with pytest.raises(DeadlineExceeded, match="window 96"):
+            compute_specification(tdd.rules, tdd.database,
+                                  deadline=time.monotonic() + 0.05)
+        assert horizons == [48]
+        del horizons[:]
+        response = service.serve(QueryRequest(
+            program=COPRIME, query="tick0(385)", deadline=0.05))
+        assert response.ok and response.degraded
+        assert response.answer is True
+        # BT stopped after its first pass; the fallback then evaluated
+        # one window reaching the query's timepoint.
+        assert horizons == [48, 385]
+
+    def test_degraded_window_is_capped(self, service):
+        start = time.monotonic()
+        response = service.serve(QueryRequest(
+            program=EVEN, query="even(1000000000000)", deadline=0.0))
+        assert time.monotonic() - start < 1.0
+        assert not response.ok and not response.degraded
+        assert f"degraded window [0..{DEGRADED_MAX_WINDOW}]" \
+            in response.error
+        assert service.counters()["errors"] == 1
+
+    def test_degraded_cap_never_below_database_depth(self, service):
+        deep = DEGRADED_MAX_WINDOW + 100
+        response = service.serve(QueryRequest(
+            program=f"even(T+2) :- even(T).\neven({deep}).\n",
+            query=f"even({deep})", deadline=0.0))
+        assert response.ok and response.degraded
+        assert response.answer is True
+
+    def test_deadline_exceeded_is_an_evaluation_error(self):
+        assert issubclass(DeadlineExceeded, EvaluationError)
+        assert repro.serve.DeadlineExceeded is DeadlineExceeded
+
+
+class TestSingleFlightTables:
+    def test_key_locks_leave_with_their_requests(self, service):
+        for i in range(200):
+            service.serve(QueryRequest(program=f"{EVEN}mark(m{i}).\n",
+                                       query="even(4)"))
+        assert service.counters()["spec_computes"] == 200
+        assert service._key_locks == {}
+
 
 class TestAnswerPayloads:
     def test_canonical_answer_payload(self, service):
@@ -194,7 +281,6 @@ class TestEngineSelection:
         assert service.counters()["spec_computes"] == 1
 
     def test_unknown_service_engine_rejected_eagerly(self):
-        from repro.lang.errors import EvaluationError
         with pytest.raises(EvaluationError, match="unknown engine"):
             QueryService(cache=SpecCache(), engine="warp")
 
