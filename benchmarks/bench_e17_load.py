@@ -406,7 +406,7 @@ def test_worker_scaling(benchmark, tmp_path):
 def test_collector_overhead(benchmark, tmp_path):
     """The observability tax: the same sustained warm workload through
     a 2-worker tier with cross-process collection armed (span
-    shipping, sampled derives, windowed rule metrics, calibration) vs
+    shipping, sampled derives, windowed rule metrics) vs
     the identical tier without a collector.  Records
     ``collector_overhead_ratio`` (off-QPS ÷ on-QPS; 1.0 = free) and
     asserts it stays under ``collector_overhead_limit`` — collection

@@ -176,21 +176,6 @@ def rule_cost(rule, sizes: Union[Mapping[str, int], None] = None
     return cost_order(rule.body, sizes=sizes)
 
 
-def plan_est_rows(rule) -> float:
-    """The canonical plan's expected bindings after its last join step.
-
-    This is the *predicted rows* figure the cost-calibration telemetry
-    compares against measured derivations (per-rule ``new_facts +
-    duplicates``): the final ``est_rows`` of the free-lead plan, or 1.0
-    for an empty body (a fact-like rule derives exactly its head).
-    Database-independent on purpose — the calibration ratio is a
-    relative drift signal for the model itself, so it must use the same
-    synthetic estimate the admission controller trusts.
-    """
-    steps = rule_cost(rule).steps
-    return steps[-1].est_rows if steps else 1.0
-
-
 def fact_sizes(facts) -> "dict[str, int]":
     """Per-predicate fact counts, the ``sizes`` input of the model."""
     sizes: dict[str, int] = {}
@@ -236,5 +221,5 @@ def lcm(values) -> int:
 
 
 __all__ = ["FANOUT", "TIME_FANOUT", "DEFAULT_WINDOW", "StepChoice",
-           "PlanCost", "cost_order", "rule_cost", "plan_est_rows",
-           "fact_sizes", "predicted_cost", "lcm"]
+           "PlanCost", "cost_order", "rule_cost", "fact_sizes",
+           "predicted_cost", "lcm"]

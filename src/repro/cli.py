@@ -49,7 +49,7 @@ Commands
     text format), a structured JSON access log, and a slow-query
     span-tree log.  ``--trace FILE`` exports per-request spans.
     ``--workers N`` runs a multi-process tier: a front-end that
-    consistent-hash routes on the program key to N supervised worker
+    consistent-hash routes on the program text to N supervised worker
     processes (crashed workers are respawned; their requests retried).
 ``top [--url URL] [--interval S]``
     Live terminal dashboard polling a running server's ``/stats``:
@@ -957,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765)
     serve.add_argument("--workers", type=int, default=0, metavar="N",
                        help="multi-process tier: consistent-hash "
-                            "route on the program key to N worker "
+                            "route on the program text to N worker "
                             "processes (default 0 = serve in-process);"
                             " combine with --cache to share specs "
                             "across workers")
@@ -993,7 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-collect", action="store_true",
                        help="disable the trace/profile collector "
                             "(GET /trace/<id>, GET /profile, the "
-                            "cost-calibration metrics and, under "
+                            "repro_rule_seconds_total and "
+                            "repro_collector_* metrics and, under "
                             "--workers, the POST /ingest shipping "
                             "path)")
     serve.set_defaults(func=cmd_serve)

@@ -33,8 +33,7 @@ interned proof DAG — and powers ``repro why`` / ``repro whynot``, the
 ``derive`` trace events.
 """
 
-from .collector import (CostCalibration, RuleWindowAggregator,
-                        TraceStore, calibration_rows, render_trace_tree)
+from .collector import RuleWindowAggregator, TraceStore, render_trace_tree
 from .metrics import Histogram, MetricsRegistry, RuleMetrics
 from .provenance import (FailedFiring, ProvenanceStore, WhyNotReport,
                          render_proof, why_not)
@@ -55,6 +54,5 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "ProvenanceStore", "FailedFiring", "WhyNotReport",
     "render_proof", "why_not",
-    "TraceStore", "RuleWindowAggregator", "CostCalibration",
-    "calibration_rows", "render_trace_tree",
+    "TraceStore", "RuleWindowAggregator", "render_trace_tree",
 ]

@@ -9,7 +9,7 @@ tier: spans carry ``(trace_id, span_id, parent_id)``, so a store keyed
 by trace id can rebuild the whole request tree no matter which process
 each span ran in.
 
-Three structures, all thread-safe, all bounded:
+Two structures, both thread-safe, both bounded:
 
 * :class:`TraceStore` — a bounded ring of recent traces (oldest trace
   evicted on overflow, per-trace span cap with a ``dropped`` counter).
@@ -23,14 +23,9 @@ Three structures, all thread-safe, all bounded:
   ``repro_rule_seconds_total`` counter.  Rules are keyed by
   ``(label, line)`` — the per-process ``r1``/``r2`` registry ids are
   *not* stable across workers, but a rule's text and source line are.
-* :class:`CostCalibration` — measured derived rows vs. the static
-  planner's predicted ``est_rows`` (:func:`repro.analysis.static.cost.
-  plan_est_rows`), the feedback loop the admission controller never
-  had.  The exposed ratio is 0.0 (not NaN) before any data arrives so
-  the Prometheus exposition stays parseable.
 
 Loss semantics (documented here because every consumer inherits them):
-all three structures are *best-effort sliding state*, not ledgers.  A
+both structures are *best-effort sliding state*, not ledgers.  A
 SIGKILLed worker loses at most the window its client had not flushed;
 an evicted trace is gone; the windowed profile forgets anything older
 than its horizon.  The durable record remains the per-process trace
@@ -43,8 +38,6 @@ import threading
 import time
 from collections import OrderedDict, deque
 from typing import Iterable, Union
-
-from ..analysis.static.cost import plan_est_rows
 
 #: Default bound on distinct traces retained (oldest evicted first).
 MAX_TRACES = 256
@@ -356,79 +349,3 @@ class RuleWindowAggregator:
         """Process-lifetime per-rule totals, hottest first."""
         with self._lock:
             return self._rows(self._totals)
-
-
-class CostCalibration:
-    """Measured derived rows vs. the planner's predicted ``est_rows``.
-
-    Accumulates ``(est, measured)`` pairs per rule key.  The headline
-    ``ratio()`` — measured ÷ predicted over all observations — is the
-    ``repro_cost_calibration_ratio`` gauge: 1.0 means the static model
-    is calibrated, >1 it under-predicts, <1 it over-predicts, and 0.0
-    is the empty-state sentinel (never NaN; the CI metrics check
-    requires every sample line to parse as a number).
-    """
-
-    def __init__(self) -> None:
-        self._rules: dict = {}
-        self._lock = threading.Lock()
-
-    def observe(self, rows: Iterable[dict]) -> None:
-        """File ``{label, line, est_rows, measured_rows}`` rows."""
-        with self._lock:
-            for row in rows:
-                key = (row.get("label", "?"), row.get("line"))
-                entry = self._rules.get(key)
-                if entry is None:
-                    entry = self._rules[key] = {
-                        "est": 0.0, "measured": 0.0, "samples": 0}
-                entry["est"] += float(row.get("est_rows") or 0.0)
-                entry["measured"] += float(row.get("measured_rows") or 0.0)
-                entry["samples"] += 1
-
-    def ratio(self) -> float:
-        with self._lock:
-            est = sum(e["est"] for e in self._rules.values())
-            measured = sum(e["measured"] for e in self._rules.values())
-        return measured / est if est > 0 else 0.0
-
-    def rows(self) -> list[dict]:
-        """Per-rule calibration rows, most under-predicted first."""
-        with self._lock:
-            items = list(self._rules.items())
-        rows = []
-        for (label, line), entry in items:
-            ratio = (entry["measured"] / entry["est"]
-                     if entry["est"] > 0 else 0.0)
-            rows.append({"label": label, "line": line,
-                         "est_rows": round(entry["est"], 3),
-                         "measured_rows": round(entry["measured"], 3),
-                         "samples": entry["samples"],
-                         "ratio": round(ratio, 4)})
-        rows.sort(key=lambda r: r["ratio"], reverse=True)
-        return rows
-
-    def to_dict(self) -> dict:
-        return {"ratio": round(self.ratio(), 4), "rules": self.rows()}
-
-
-def calibration_rows(registry) -> list[dict]:
-    """Calibration observations from one finished evaluation.
-
-    Pairs each registered rule's *measured* derived rows (``new_facts +
-    duplicates`` — every binding that reached the head, which is what
-    ``est_rows`` predicts) with the canonical plan's estimate.  Facts
-    and empty-bodied rules carry no join plan worth calibrating and are
-    skipped.
-    """
-    rows = []
-    for rule, record in registry.items():
-        if getattr(rule, "is_fact", False) or not rule.body:
-            continue
-        rows.append({
-            "label": record.label,
-            "line": record.line,
-            "est_rows": plan_est_rows(rule),
-            "measured_rows": float(record.new_facts + record.duplicates),
-        })
-    return rows

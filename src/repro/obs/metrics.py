@@ -163,10 +163,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         # id(rule) -> record: structurally equal rules at different
         # source lines must not share a record, and Rule equality
-        # ignores spans — so key by object identity and pin the rule
-        # alive (id() reuse after garbage collection would mis-attribute).
+        # ignores spans — so key by object identity.  The caller holds
+        # the evaluated program's rules while engines register them,
+        # so no id is recycled to another rule mid-run.
         self._records: dict[int, RuleMetrics] = {}
-        self._rules: list = []
 
     def rule(self, rule) -> RuleMetrics:
         """The record for ``rule``, created on first sight."""
@@ -179,7 +179,6 @@ class MetricsRegistry:
                 line=span.line if span is not None else None,
             )
             self._records[id(rule)] = record
-            self._rules.append(rule)
         return record
 
     def __len__(self) -> int:
@@ -191,16 +190,6 @@ class MetricsRegistry:
 
     def records(self) -> list[RuleMetrics]:
         return list(self._records.values())
-
-    def items(self) -> list:
-        """``(rule, record)`` pairs in registration order.
-
-        The cost-calibration path needs the rule *objects* back (to
-        re-derive each rule's planned ``est_rows``), not just the
-        serialized records; ``_rules`` and ``_records`` insert in
-        lockstep, so a positional zip is exact.
-        """
-        return list(zip(self._rules, self._records.values()))
 
     def hot(self, key: str = "seconds") -> list[RuleMetrics]:
         """Records sorted by the named attribute, hottest first."""

@@ -43,9 +43,6 @@ class ProfileReport:
     answer: Union[bool, None] = None
     #: Chosen join plans with their cost rationale (compiled engine).
     plans: "list[dict]" = None
-    #: Cost-calibration rows — measured bindings vs. the static plan's
-    #: ``est_rows`` prediction, per rule (compiled engine).
-    calibration: "list[dict]" = None
 
     @property
     def records(self) -> list[RuleMetrics]:
@@ -143,22 +140,9 @@ def profile_tdd(tdd, program: str, engine: str = "bt",
                                  metrics=registry)
     plans = (_plan_records(tdd.rules) if engine == "compiled"
              else None)
-    calibration = (_calibration_records(registry)
-                   if engine == "compiled" else None)
     return ProfileReport(program=program, engine=engine,
                          registry=registry, stats=stats, answer=answer,
-                         plans=plans, calibration=calibration)
-
-
-def _calibration_records(registry: MetricsRegistry) -> "list[dict]":
-    """Per-rule calibration of the cost model against the run: the
-    plan's predicted bindings (``est_rows``) next to what the registry
-    actually measured, worst-calibrated rule first."""
-    from .collector import CostCalibration, calibration_rows
-
-    calibration = CostCalibration()
-    calibration.observe(calibration_rows(registry))
-    return calibration.rows()
+                         plans=plans)
 
 
 # -- renderers -----------------------------------------------------------
@@ -232,14 +216,6 @@ def render_table(report: ProfileReport) -> str:
         for plan in report.plans:
             lines.append(f"  [{plan['est_cost']:.1f}] "
                          f"{plan['describe']}")
-    if report.calibration:
-        lines.append("cost calibration (measured/est rows, "
-                     "worst first):")
-        for row in report.calibration:
-            lines.append(
-                f"  [{row['ratio']:.2f}x] line {row['line']}: "
-                f"{row['measured_rows']:.0f} measured vs "
-                f"{row['est_rows']:.1f} predicted  {row['label']}")
     return "\n".join(lines)
 
 
@@ -254,8 +230,6 @@ def render_json(report: ProfileReport) -> str:
     }
     if report.plans is not None:
         payload["plans"] = report.plans
-    if report.calibration is not None:
-        payload["calibration"] = report.calibration
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

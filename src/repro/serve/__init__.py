@@ -19,13 +19,13 @@ specification once, then answer every query against it:
   handshake, crash detection and respawn;
 * :mod:`repro.serve.router` — the consistent-hash routing front-end
   of the tier: one process owning the listening socket, forwarding
-  sub-batches to workers by content-addressed program key, retrying
+  sub-batches to workers by a hash of the program text, retrying
   around worker crashes, and aggregating ``/stats`` and ``/metrics``;
 * :mod:`repro.serve.collect` — cross-process observability collection:
   workers ship ended spans, sampled ``derive`` events, and windowed
   per-rule metrics to the front-end's ``POST /ingest``; the front-end
-  assembles them into ``GET /trace/<id>`` trees, the ``GET /profile``
-  continuous profile, and the cost-calibration telemetry;
+  assembles them into ``GET /trace/<id>`` trees and the
+  ``GET /profile`` continuous profile;
 * :mod:`repro.serve.top` — the ``repro top`` live dashboard polling
   ``GET /stats``.
 """

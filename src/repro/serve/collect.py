@@ -1,16 +1,16 @@
 """Shipping observability out of worker processes: the collection tier.
 
 :mod:`repro.obs.collector` holds the process-neutral aggregation
-structures (trace store, windowed rule profile, cost calibration); this
-module moves data into them across process boundaries.
+structures (trace store, windowed rule profile); this module moves
+data into them across process boundaries.
 
 * :class:`Collector` lives where the aggregate view is served — the
   front-end of a tier, or directly inside a single-process ``repro
-  serve``.  It is the terminal for four streams: locally ended spans
+  serve``.  It is the terminal for three streams: locally ended spans
   (via :class:`~repro.obs.telemetry.Telemetry`'s ``collector`` hook),
-  sampled ``derive`` events, per-computation
-  :class:`~repro.obs.metrics.MetricsRegistry` deltas, and cost
-  calibration rows — plus everything workers POST to ``/ingest``.
+  sampled ``derive`` events, and per-computation
+  :class:`~repro.obs.metrics.MetricsRegistry` deltas — plus everything
+  workers POST to ``/ingest``.
 * :class:`CollectorClient` lives inside a tier worker.  It presents the
   *same* recording interface, but buffers into bounded deques and ships
   one JSON envelope to the front-end's ``/ingest`` endpoint every
@@ -26,10 +26,9 @@ else — serving is never blocked on collection.
 The ``/ingest`` envelope (one JSON object per POST)::
 
     {"worker": 0, "pid": 12345,
-     "spans":       [ <span event>, ... ],
-     "derives":     [ <derive event + trace_id>, ... ],
-     "rules":       [ <RuleMetrics.to_dict() delta>, ... ],
-     "calibration": [ {"label", "line", "est_rows", "measured_rows"}, ... ]}
+     "spans":   [ <span event>, ... ],
+     "derives": [ <derive event + trace_id>, ... ],
+     "rules":   [ <RuleMetrics.to_dict() delta>, ... ]}
 
 Span and derive events are exactly the schema-3/4 trace events already
 documented in docs/INTERNALS.md — collection reuses the trace schema
@@ -46,8 +45,7 @@ import urllib.request
 from collections import deque
 from typing import Union
 
-from ..obs.collector import (CostCalibration, RuleWindowAggregator,
-                             TraceStore)
+from ..obs.collector import RuleWindowAggregator, TraceStore
 
 #: Default sampling stride for ``derive`` events: every Nth recorded
 #: support edge is shipped (:class:`~repro.obs.provenance.
@@ -127,7 +125,7 @@ class _DeriveSink:
 
 
 class Collector:
-    """The aggregation terminal: traces, windowed profile, calibration.
+    """The aggregation terminal: traces and the windowed profile.
 
     Thread-safe throughout — handler threads ingest concurrently with
     the local telemetry export hook and with ``/trace`` / ``/profile``
@@ -141,7 +139,6 @@ class Collector:
         self.traces = TraceStore(**kwargs)
         self.rules = RuleWindowAggregator(window_s=window_s,
                                           bucket_s=bucket_s)
-        self.calibration = CostCalibration()
         self.derive_sample = max(1, int(derive_sample))
         self._origin = {"pid": os.getpid(), "worker": None}
         self._lock = threading.Lock()
@@ -177,9 +174,6 @@ class Collector:
         """File per-rule counter deltas into the windowed profile."""
         self.rules.observe(records)
 
-    def observe_calibration(self, rows) -> None:
-        self.calibration.observe(rows)
-
     # -- cross-process ingestion -----------------------------------------
 
     def ingest(self, payload: dict) -> dict:
@@ -191,7 +185,7 @@ class Collector:
         if not isinstance(payload, dict):
             raise ValueError("ingest payload must be a JSON object")
         blocks = {}
-        for name in ("spans", "derives", "rules", "calibration"):
+        for name in ("spans", "derives", "rules"):
             block = payload.get(name) or []
             if not isinstance(block, list):
                 raise ValueError(f"ingest field {name!r} must be a list")
@@ -207,15 +201,13 @@ class Collector:
         for event in blocks["derives"]:
             self.traces.add_derive(event, origin)
         self.rules.observe(blocks["rules"])
-        self.calibration.observe(blocks["calibration"])
         with self._lock:
             self._ingests += 1
             self._spans += kept
             self._derives += len(blocks["derives"])
         return {"ok": True, "spans": kept,
                 "derives": len(blocks["derives"]),
-                "rules": len(blocks["rules"]),
-                "calibration": len(blocks["calibration"])}
+                "rules": len(blocks["rules"])}
 
     def ingest_error(self) -> None:
         with self._lock:
@@ -230,14 +222,13 @@ class Collector:
         return {"traces": self.traces.summaries()}
 
     def profile_payload(self) -> dict:
-        """``GET /profile``: the sliding-window rule profile, lifetime
-        totals, and the calibration table."""
+        """``GET /profile``: the sliding-window rule profile and its
+        lifetime totals."""
         window = self.rules.window()
         return {
             "window_s": window["window_s"],
             "rules": window["rules"],
             "totals": self.rules.totals(),
-            "calibration": self.calibration.to_dict(),
         }
 
     def counters(self) -> dict:
@@ -252,7 +243,6 @@ class Collector:
             "derives": derives,
             "ingests": ingests,
             "ingest_errors": errors,
-            "calibration_ratio": round(self.calibration.ratio(), 4),
         }
 
     def prometheus_lines(self) -> list:
@@ -268,12 +258,6 @@ class Collector:
                          f'{row["seconds"]:.6f}')
         counters = self.counters()
         lines += [
-            "# HELP repro_cost_calibration_ratio Measured derived rows "
-            "over statically predicted rows (1.0 = calibrated; 0 = no "
-            "data yet).",
-            "# TYPE repro_cost_calibration_ratio gauge",
-            "repro_cost_calibration_ratio "
-            f"{self.calibration.ratio():.6f}",
             "# HELP repro_collector_ingests_total Worker envelopes "
             "accepted on /ingest.",
             "# TYPE repro_collector_ingests_total counter",
@@ -293,10 +277,10 @@ class CollectorClient:
     """The worker-side half: record locally, ship periodically.
 
     Implements the same recording interface as :class:`Collector`
-    (``record_span`` / ``derive_sink`` / ``observe_rules`` /
-    ``observe_calibration``), so :class:`~repro.obs.telemetry.Telemetry`
-    and :class:`~repro.serve.service.QueryService` cannot tell which
-    side of the process boundary they are instrumenting.
+    (``record_span`` / ``derive_sink`` / ``observe_rules``), so
+    :class:`~repro.obs.telemetry.Telemetry` and
+    :class:`~repro.serve.service.QueryService` cannot tell which side
+    of the process boundary they are instrumenting.
 
     All buffers are bounded (oldest dropped first) and all shipping is
     fire-and-forget from one daemon thread; a failed POST drops that
@@ -317,7 +301,6 @@ class CollectorClient:
         self._spans: deque = deque(maxlen=max(1, int(max_events)))
         self._derives: deque = deque(maxlen=max(1, int(max_events)))
         self._rules: list = []
-        self._calibration: list = []
         self._lock = threading.Lock()
         self.shipped = 0
         self.ship_errors = 0
@@ -352,16 +335,11 @@ class CollectorClient:
         with self._lock:
             self._rules.extend(records)
 
-    def observe_calibration(self, rows) -> None:
-        with self._lock:
-            self._calibration.extend(rows)
-
     # -- shipping ---------------------------------------------------------
 
     def _drain(self) -> Union[dict, None]:
         with self._lock:
-            if not (self._spans or self._derives or self._rules
-                    or self._calibration):
+            if not (self._spans or self._derives or self._rules):
                 return None
             payload = {
                 "worker": self.worker_id,
@@ -369,12 +347,10 @@ class CollectorClient:
                 "spans": list(self._spans),
                 "derives": list(self._derives),
                 "rules": self._rules,
-                "calibration": self._calibration,
             }
             self._spans.clear()
             self._derives.clear()
             self._rules = []
-            self._calibration = []
         return payload
 
     def flush(self) -> bool:

@@ -2,7 +2,7 @@
 
 ``repro serve --workers N`` answers the GIL problem structurally: one
 front-end process owns the listening socket and does only cheap work —
-read the JSON batch, derive each request's *routing key*, forward
+read the JSON batch, hash each request's program text, forward
 sub-batches to worker processes over loopback HTTP — while the N
 workers (:mod:`repro.serve.workers`) burn their own interpreters on
 parsing, spec computation, and query evaluation.
@@ -10,18 +10,16 @@ parsing, spec computation, and query evaluation.
 Routing
 -------
 
-The ring (:class:`HashRing`) hashes each worker id to ``replicas``
-points on a 64-bit circle; a request's key routes to the first live
-worker clockwise of the key's own point.  The key is the
-content-addressed program key (:func:`repro.serve.cache.tdd_key`) when
-the program parses — memoised per program text, so the warm path is a
-dictionary hit — with a SHA-256 of the raw text as the fallback for
-unparseable programs (the worker then produces the authoritative
-parse-error response).  Content addressing means every request for one
-program lands on one worker, whose in-memory LRU therefore stays hot
-for exactly its key range; the shared SQLite
-:class:`~repro.serve.cache.SpecCache` is the cross-process fallback
-that makes rerouting after a crash a cache hit, not a recompute.
+The ring (:class:`HashRing`) hashes each worker id to
+:data:`RING_REPLICAS` points on a 64-bit circle; a request routes to
+the first live worker clockwise of its program text's own point.  The
+front-end never parses: every request carrying one program text lands
+on one worker, whose in-memory LRU therefore stays hot for exactly its
+texts, and the worker produces any parse error.  Byte-different texts
+of one program may land on different workers; with a shared SQLite
+:class:`~repro.serve.cache.SpecCache` (``--cache``) they still share
+one spec through it and its flight lease, which also make rerouting
+after a crash a cache hit, not a recompute.
 
 Failure handling
 ----------------
@@ -32,9 +30,9 @@ the supervisor to respawn it — and the affected requests re-enter
 routing against the surviving workers.  Queries are read-only, so
 retrying is always safe; a retried request's response is marked
 ``"retried": true`` and counted in ``/stats``.  Only when *no* worker
-becomes routable within ``retry_deadline`` seconds does a request fail,
-and then as a per-request ``ok: false`` response, never a dropped
-connection.
+becomes routable within :data:`RETRY_DEADLINE` seconds does a request
+fail, and then as a per-request ``ok: false`` response, never a
+dropped connection.
 
 Telemetry
 ---------
@@ -60,9 +58,7 @@ from dataclasses import dataclass, field
 from http.server import ThreadingHTTPServer
 from typing import Sequence, Union
 
-from ..lang.errors import ReproError
 from ..obs.telemetry import LatencyHistogram, Telemetry
-from .cache import tdd_key
 from .server import MAX_BODY_BYTES, AccessLog, _Handler
 from .service import render_prometheus
 from .workers import WorkerPool
@@ -71,10 +67,6 @@ from .workers import WorkerPool
 #: small pool balanced to within a few percent while the ring stays
 #: tiny (N*64 points).
 RING_REPLICAS = 64
-
-#: Routing keys memoised per raw program text (the front-end's
-#: equivalent of the service's parse memo).
-ROUTE_MEMO_SIZE = 128
 
 #: Give up routing a request after this many seconds without any live
 #: worker (the supervisor usually respawns one in well under a second).
@@ -101,17 +93,13 @@ class HashRing:
     ``tests/test_serve_multiprocess.py``).
     """
 
-    def __init__(self, nodes: Sequence[int],
-                 replicas: int = RING_REPLICAS):
+    def __init__(self, nodes: Sequence[int]):
         if not nodes:
             raise ValueError("a hash ring needs at least one node")
-        if replicas < 1:
-            raise ValueError("replicas must be at least 1")
         self.nodes = tuple(nodes)
-        self.replicas = replicas
         points = []
         for node in self.nodes:
-            for replica in range(replicas):
+            for replica in range(RING_REPLICAS):
                 points.append((_hash64(f"{node}#{replica}"), node))
         points.sort()
         self._points = points
@@ -172,30 +160,21 @@ class FrontEnd(ThreadingHTTPServer):
                  slow_ms: Union[float, None] = None,
                  telemetry: Union[Telemetry, None] = None,
                  max_body_bytes: int = MAX_BODY_BYTES,
-                 retry_deadline: float = RETRY_DEADLINE,
-                 worker_timeout: float = WORKER_TIMEOUT,
-                 replicas: int = RING_REPLICAS,
                  collector=None):
         self.pool = pool
-        self.ring = HashRing([w.id for w in pool.workers],
-                             replicas=replicas)
+        self.ring = HashRing([w.id for w in pool.workers])
         self.quiet = quiet
         self.access_log = access_log
         self.slow_ms = slow_ms
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry())
         self.max_body_bytes = max_body_bytes
-        self.retry_deadline = retry_deadline
-        self.worker_timeout = worker_timeout
         #: Front-end-side end-to-end latency (includes routing and the
         #: forward round-trip); the aggregated ``latency`` block in
         #: ``/stats`` is the workers' own service-side histogram.
         self.latency = LatencyHistogram()
         self._counters = _FrontEndCounters()
         self._counters_lock = threading.Lock()
-        self._route_memo: dict = {}
-        self._route_order: list = []
-        self._memo_lock = threading.Lock()
         super().__init__(address, _FrontEndHandler)
         #: Optional :class:`repro.serve.collect.Collector` — the tier's
         #: aggregation terminal.  Attached *after* the socket is bound
@@ -209,44 +188,21 @@ class FrontEnd(ThreadingHTTPServer):
             port = self.server_address[1]
             pool.set_collect_url(f"http://127.0.0.1:{port}/ingest")
 
-    # -- routing ---------------------------------------------------------
-
-    def routing_key(self, program: str) -> str:
-        """The content key of a program text, memoised; raw-text hash
-        for programs that do not parse (the worker still answers —
-        with the authoritative parse error)."""
-        with self._memo_lock:
-            cached = self._route_memo.get(program)
-            if cached is not None:
-                return cached
-        try:
-            from ..core.tdd import TDD
-            key = tdd_key(TDD.from_text(program))
-        except ReproError:
-            key = hashlib.sha256(program.encode("utf-8")).hexdigest()
-        with self._memo_lock:
-            if program not in self._route_memo:
-                self._route_memo[program] = key
-                self._route_order.append(program)
-                while len(self._route_order) > ROUTE_MEMO_SIZE:
-                    del self._route_memo[self._route_order.pop(0)]
-        return key
-
     # -- delivery --------------------------------------------------------
 
     def deliver(self, entries: list, root) -> tuple[dict, int]:
         """Forward routed entries until each has a response.
 
-        ``entries`` are ``{"index", "key", "item", "attempts"}``
+        ``entries`` are ``{"index", "program", "item", "attempts"}``
         dictionaries.  Returns ``(responses_by_index,
         total_failed_forward_attempts)``.  Requests whose worker dies
         mid-flight re-enter routing against the survivors; only a
-        tier with no routable worker for ``retry_deadline`` seconds
+        tier with no routable worker for :data:`RETRY_DEADLINE` seconds
         produces ``ok: false`` fallback responses.
         """
         results: dict = {}
         pending = list(entries)
-        give_up_at = time.monotonic() + self.retry_deadline
+        give_up_at = time.monotonic() + RETRY_DEADLINE
         retries = 0
         while pending:
             alive = self.pool.alive_ids()
@@ -257,7 +213,7 @@ class FrontEnd(ThreadingHTTPServer):
                 continue
             groups: dict = {}
             for entry in pending:
-                worker_id = self.ring.route(entry["key"], alive)
+                worker_id = self.ring.route(entry["program"], alive)
                 groups.setdefault(worker_id, []).append(entry)
             outcomes: list = []
 
@@ -345,7 +301,7 @@ class FrontEnd(ThreadingHTTPServer):
             # processes' trees into one.
             headers["X-Repro-Parent-Span"] = parent_span
         connection = http.client.HTTPConnection(
-            "127.0.0.1", port, timeout=self.worker_timeout)
+            "127.0.0.1", port, timeout=WORKER_TIMEOUT)
         try:
             connection.request("POST", "/query", body, headers)
             response = connection.getresponse()
@@ -373,7 +329,7 @@ class FrontEnd(ThreadingHTTPServer):
             "source": None,
             "key": None,
             "error": ("no live worker within the "
-                      f"{self.retry_deadline:g}s retry deadline"),
+                      f"{RETRY_DEADLINE:g}s retry deadline"),
             "elapsed_ms": 0.0,
             "duration_ms": 0.0,
             "trace_id": root.trace_id,
@@ -585,7 +541,7 @@ class _FrontEndHandler(_Handler):
             frontend._counters.batches += 1
         started = time.monotonic()
         entries = [{"index": index,
-                    "key": frontend.routing_key(request.program),
+                    "program": request.program,
                     "item": item, "attempts": 0}
                    for index, (item, request)
                    in enumerate(zip(raw, requests))]

@@ -19,8 +19,8 @@ With collection on (a :class:`repro.serve.collect.Collector` attached):
 
 * ``GET /trace`` — listing of retained traces; ``GET /trace/<id>`` —
   the assembled (cross-process, for a tier) span tree of one request.
-* ``GET /profile`` — sliding-window per-rule profile plus the cost
-  calibration table.
+* ``GET /profile`` — sliding-window per-rule profile plus lifetime
+  per-rule totals.
 
 Malformed bodies get a 400, oversized bodies a 413 — both with a JSON
 ``{"error": ...}`` body and a correct ``Content-Length``; per-request

@@ -37,8 +37,9 @@ model (:func:`repro.analysis.static.predicted_cost`) on each program
 before acquiring its spec; a program whose budget estimate exceeds the
 knob is *refused* up front — the response carries ``ok=False`` and
 ``refused=True``, mirroring how ``degraded`` marks the windowed
-fallback.  The estimate is memoised per content key, so admission adds
-static-analysis work once per program, not per request.
+fallback.  The estimate is computed when the program is parsed and kept
+in its parse-memo entry, so admission adds static-analysis work once
+per parse, not per request.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ class QueryService:
         #: CollectorClient` inside a tier worker).  When set, every
         #: spec computation runs with a fresh per-rule
         #: :class:`~repro.obs.metrics.MetricsRegistry` and sampled
-        #: provenance recording, and the resulting rule/calibration
-        #: deltas (plus sampled ``derive`` events) flow to it.
+        #: provenance recording, and the resulting per-rule deltas
+        #: (plus sampled ``derive`` events) flow to it.
         self.collect = collect
         #: Admission-control knob: programs whose static budget estimate
         #: (:func:`repro.analysis.static.predicted_cost`) exceeds this
@@ -243,18 +244,20 @@ class QueryService:
         #: key -> [lock, threads holding or waiting on it].
         self._key_locks: dict[str, list] = {}
         self._parse_lock = threading.Lock()
-        self._parse_memo: OrderedDict[str, tuple[TDD, str]] = OrderedDict()
+        #: raw program text -> (tdd, content key, predicted cost).
+        self._parse_memo: OrderedDict[str, tuple] = OrderedDict()
         #: Identity this process stamps on cross-process flight leases.
         self._flight_owner = f"{os.getpid()}-{id(self):x}"
-        self._cost_lock = threading.Lock()
-        self._cost_memo: dict[str, float] = {}
 
-    def _resolve_program(self, program: str) -> tuple[TDD, str]:
+    def _resolve_program(self, program: str
+                         ) -> tuple[TDD, str, Union[float, None]]:
         """Parse + content-key a program text, memoised on the raw text.
 
         Distinct texts of the same TDD (whitespace, ordering) take
         separate memo slots but still converge on one content key — the
-        memo is a parse cache, not the identity of the spec.
+        memo is a parse cache, not the identity of the spec.  With
+        ``max_predicted_cost`` set, the entry also carries the
+        program's admission estimate (else ``None``).
         """
         with self._parse_lock:
             cached = self._parse_memo.get(program)
@@ -262,33 +265,28 @@ class QueryService:
                 self._parse_memo.move_to_end(program)
                 return cached
         tdd = TDD.from_text(program)  # may raise ReproError; never memoised
-        key = tdd_key(tdd)
+        entry = (tdd, tdd_key(tdd),
+                 None if self.max_predicted_cost is None
+                 else self._predicted_cost(tdd))
         with self._parse_lock:
-            self._parse_memo[program] = (tdd, key)
+            self._parse_memo[program] = entry
             self._parse_memo.move_to_end(program)
             while len(self._parse_memo) > PARSE_MEMO_SIZE:
                 self._parse_memo.popitem(last=False)
-        return tdd, key
+        return entry
 
-    def _predicted_cost(self, tdd: TDD, key: str) -> float:
-        """The static budget estimate for a parsed program, memoised on
-        its content key (admission is per-program work, not per-request).
+    @staticmethod
+    def _predicted_cost(tdd: TDD) -> float:
+        """The static budget estimate for a parsed program.
 
         Uses the structural classifier only (``semantic=False``): the
         admission gate must stay cheap relative to the work it guards,
         and the Theorem 5.2 procedure evaluates test databases.
         """
-        with self._cost_lock:
-            cached = self._cost_memo.get(key)
-        if cached is not None:
-            return cached
         from ..analysis.static import classify_program, predicted_cost
-        facts = list(tdd.database.facts())
         tract = classify_program(tdd.rules, semantic=False)
-        cost = predicted_cost(tdd.rules, facts, period=tract.period)
-        with self._cost_lock:
-            self._cost_memo[key] = cost
-        return cost
+        return predicted_cost(tdd.rules, list(tdd.database.facts()),
+                              period=tract.period)
 
     # -- spec acquisition (single-flight) --------------------------------
 
@@ -357,13 +355,8 @@ class QueryService:
         if metrics is None or self.collect is None:
             return
         records = metrics.to_dict()
-        if not records:
-            return
-        from ..obs.collector import calibration_rows
-        self.collect.observe_rules(records)
-        rows = calibration_rows(metrics)
-        if rows:
-            self.collect.observe_calibration(rows)
+        if records:
+            self.collect.observe_rules(records)
 
     def _compute(self, tdd: TDD, until: Union[float, None],
                  engine: Union[str, None] = None,
@@ -436,8 +429,6 @@ class QueryService:
                     claimed = self.cache.try_claim(key,
                                                    self._flight_owner)
             try:
-                with self._counters_lock:
-                    self._counters.spec_computes += 1
                 span = (None if parent is None
                         else parent.child("spec.compute", key=key[:12]))
                 try:
@@ -452,6 +443,8 @@ class QueryService:
                 finally:
                     if span is not None:
                         span.end()
+                with self._counters_lock:
+                    self._counters.spec_computes += 1
                 self.cache.put(key, spec)
                 return spec, COMPUTED
             finally:
@@ -645,7 +638,7 @@ class QueryService:
         for program, indexes in groups.items():
             parse_span = self.telemetry.span("parse", parent=root)
             try:
-                tdd, key = self._resolve_program(program)
+                tdd, key, cost = self._resolve_program(program)
             except ReproError as exc:
                 parse_span.set_attribute("error", str(exc))
                 parse_ms = parse_span.end()
@@ -661,23 +654,21 @@ class QueryService:
                 continue
             parse_span.set_attribute("key", key[:12])
             parse_ms = parse_span.end()
-            if self.max_predicted_cost is not None:
-                cost = self._predicted_cost(tdd, key)
-                if cost > self.max_predicted_cost:
-                    with self._counters_lock:
-                        self._counters.refused += len(indexes)
-                    for index in indexes:
-                        responses[index] = QueryResponse(
-                            ok=False, kind=requests[index].kind,
-                            key=key, refused=True,
-                            error=(f"admission control: predicted "
-                                   f"evaluation cost {cost:.1f} exceeds "
-                                   f"max_predicted_cost="
-                                   f"{self.max_predicted_cost:g}"),
-                            duration_ms=parse_ms,
-                            trace_id=root.trace_id)
-                        self.latency.observe(parse_ms)
-                    continue
+            if cost is not None and cost > self.max_predicted_cost:
+                with self._counters_lock:
+                    self._counters.refused += len(indexes)
+                for index in indexes:
+                    responses[index] = QueryResponse(
+                        ok=False, kind=requests[index].kind,
+                        key=key, refused=True,
+                        error=(f"admission control: predicted "
+                               f"evaluation cost {cost:.1f} exceeds "
+                               f"max_predicted_cost="
+                               f"{self.max_predicted_cost:g}"),
+                        duration_ms=parse_ms,
+                        trace_id=root.trace_id)
+                    self.latency.observe(parse_ms)
+                continue
             deadlines = [requests[i].deadline for i in indexes]
             if any(d is None for d in deadlines):
                 deadline = self.default_deadline
@@ -788,7 +779,7 @@ def render_prometheus(serve: dict, cache: dict, latency,
             "Requests that failed (parse/kind/query errors).",
             serve["errors"])
     counter("repro_spec_computes_total",
-            "Full BT specification computations.",
+            "BT runs that produced a specification.",
             serve["spec_computes"])
     counter("repro_singleflight_waits_total",
             "Requests that waited on an in-flight computation.",

@@ -97,9 +97,7 @@ def _workers_table(current: dict,
             f"collector  traces {collector.get('traces', 0)} | "
             f"spans {collector.get('spans', 0)} | "
             f"ingests {collector.get('ingests', 0)} "
-            f"(errors {collector.get('ingest_errors', 0)}) | "
-            f"calibration "
-            f"{collector.get('calibration_ratio', 0.0):.2f}x")
+            f"(errors {collector.get('ingest_errors', 0)})")
     return lines
 
 

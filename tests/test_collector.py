@@ -1,7 +1,7 @@
 """Unit tests for the cross-process observability primitives:
-:mod:`repro.obs.collector` (trace store, windowed rule profile, cost
-calibration) and the process-local half of :mod:`repro.serve.collect`
-(span filtering, envelope validation, Prometheus exposition)."""
+:mod:`repro.obs.collector` (trace store, windowed rule profile) and the
+process-local half of :mod:`repro.serve.collect` (span filtering,
+envelope validation, Prometheus exposition)."""
 
 from __future__ import annotations
 
@@ -9,15 +9,10 @@ import re
 
 import pytest
 
-from repro.core.spec import compute_specification
-from repro.lang import parse_program
-from repro.obs.collector import (CostCalibration, RuleWindowAggregator,
-                                 TraceStore, calibration_rows,
+from repro.obs.collector import (RuleWindowAggregator, TraceStore,
                                  render_trace_tree)
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.collect import (Collector, CollectorClient, _keep_span,
                                  span_event)
-from repro.temporal import TemporalDatabase
 
 #: Every Prometheus sample line must look like this — the shape the CI
 #: metrics check enforces (NaN and friends do not parse).
@@ -156,39 +151,6 @@ def test_window_aggregator_rejects_degenerate_window():
         RuleWindowAggregator(window_s=1.0, bucket_s=5.0)
 
 
-# -- CostCalibration -------------------------------------------------------
-
-
-def test_calibration_ratio_and_rows():
-    calibration = CostCalibration()
-    assert calibration.ratio() == 0.0  # empty sentinel, never NaN
-    calibration.observe([
-        {"label": "a.", "line": 1, "est_rows": 10.0,
-         "measured_rows": 20.0},
-        {"label": "b.", "line": 2, "est_rows": 10.0,
-         "measured_rows": 5.0},
-    ])
-    assert calibration.ratio() == pytest.approx(25.0 / 20.0)
-    rows = calibration.rows()
-    assert [r["label"] for r in rows] == ["a.", "b."]  # worst first
-    assert rows[0]["ratio"] == pytest.approx(2.0)
-    assert calibration.to_dict()["ratio"] == pytest.approx(1.25)
-
-
-def test_calibration_rows_from_a_real_run(path_program):
-    registry = MetricsRegistry()
-    compute_specification(path_program.rules,
-                          TemporalDatabase(path_program.facts),
-                          metrics=registry)
-    rows = calibration_rows(registry)
-    assert rows, "recursive rules must yield calibration rows"
-    for row in rows:
-        assert row["est_rows"] > 0
-        assert row["measured_rows"] >= 0
-    # Facts carry no plan worth calibrating — only rules with bodies.
-    assert all(":-" in row["label"] for row in rows)
-
-
 # -- span filtering and envelope validation --------------------------------
 
 
@@ -213,14 +175,12 @@ def test_collector_ingest_counts_and_filters():
                   "not-a-dict"],
         "derives": [{"trace_id": TID, "pred": "p", "time": 1}],
         "rules": _records(),
-        "calibration": [{"label": "a.", "line": 1, "est_rows": 2.0,
-                         "measured_rows": 4.0}],
     })
     assert summary == {"ok": True, "spans": 1, "derives": 1,
-                       "rules": 1, "calibration": 1}
+                       "rules": 1}
     counters = collector.counters()
     assert counters["ingests"] == 1 and counters["traces"] == 1
-    assert counters["calibration_ratio"] == pytest.approx(2.0)
+    assert collector.rules.totals()[0]["firings"] == 2
     tree = collector.trace_payload(TID)
     assert tree["roots"][0]["worker"] == 1
 
@@ -240,17 +200,14 @@ def test_collector_prometheus_lines_parse():
     collector = Collector()
     collector.observe_rules(_records(
         label='tricky "label"\nwith\\escapes', line=3))
-    collector.observe_calibration(
-        [{"label": "a.", "line": 1, "est_rows": 2.0,
-          "measured_rows": 1.0}])
     collector.ingest({"spans": [_span()]})
     for line in collector.prometheus_lines():
         if line.startswith("#"):
             continue
         assert SAMPLE.match(line), f"unparseable sample: {line!r}"
     text = "\n".join(collector.prometheus_lines())
-    assert "repro_cost_calibration_ratio 0.500000" in text
-    assert "repro_rule_seconds_total" in text
+    assert "repro_rule_seconds_total{" in text
+    assert "repro_collector_ingests_total 1" in text
 
 
 def test_collector_derive_sink_requires_trace_id():

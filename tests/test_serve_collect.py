@@ -1,5 +1,5 @@
 """End-to-end collection over HTTP: the /trace and /profile endpoints,
-the cost-calibration metrics, the /ingest path, and the acceptance
+the per-rule metrics, the /ingest path, and the acceptance
 criterion of the tier — one ``GET /trace/<id>`` tree whose spans come
 from both the front-end process and a worker process.
 
@@ -81,30 +81,28 @@ class TestSingleProcessCollection:
         status, body = point.get_json("/trace/not-hex!")
         assert status == 400
 
-    def test_profile_reports_rules_and_calibration(self,
-                                                   serve_endpoint):
+    def test_profile_reports_rules_and_totals(self, serve_endpoint):
         point = serve_endpoint(collect=True)
         point.post_query({"program": EVEN, "query": "even(20)"})
         status, profile = point.get_json("/profile")
         assert status == 200
+        assert set(profile) == {"window_s", "rules", "totals"}
         assert profile["rules"], "windowed rule profile expected"
         hot = profile["rules"][0]
         assert "even" in hot["label"] and hot["firings"] > 0
-        calibration = profile["calibration"]
-        assert calibration["ratio"] > 0
-        assert calibration["rules"]
+        assert ({row["label"] for row in profile["totals"]}
+                == {row["label"] for row in profile["rules"]})
 
-    def test_metrics_exposes_calibration_and_rule_series(
-            self, serve_endpoint):
+    def test_metrics_exposes_rule_series(self, serve_endpoint):
         point = serve_endpoint(collect=True)
         point.post_query({"program": EVEN, "query": "even(20)"})
         response, raw = point.request("GET", "/metrics")
         text = raw.decode()
-        assert "repro_cost_calibration_ratio " in text
-        assert "repro_rule_seconds_total{" in text
-        for line in text.splitlines():
-            if line.startswith("repro_cost_calibration_ratio"):
-                assert float(line.split()[-1]) > 0.0
+        rule_lines = [line for line in text.splitlines()
+                      if line.startswith("repro_rule_seconds_total{rule=")]
+        assert rule_lines
+        assert all(float(line.split()[-1]) > 0.0 for line in rule_lines)
+        assert "repro_collector_spans_total " in text
 
     def test_stats_carries_collector_block(self, serve_endpoint):
         point = serve_endpoint(collect=True)
@@ -194,7 +192,8 @@ class TestTierCollection:
         _, profile = point.get_json("/profile")
         assert any("even" in row["label"]
                    for row in profile["rules"])
-        assert profile["calibration"]["ratio"] > 0
+        assert any("even" in row["label"] and row["firings"] > 0
+                   for row in profile["totals"])
         _, stats = point.get_json("/stats")
         assert stats["collector"]["ingests"] >= 1
 
@@ -306,8 +305,7 @@ class TestTopWorkersTable:
             "frontend": {"forwards": 4, "retries": 0, "unrouted": 0,
                          "workers": 2, "workers_up": 2},
             "collector": {"traces": 1, "spans": 5, "ingests": 2,
-                          "ingest_errors": 0,
-                          "calibration_ratio": 0.42},
+                          "ingest_errors": 0},
             "workers": [
                 {"id": 0, "up": True, "pid": 111, "routed": 6,
                  "restarts": 0,
@@ -331,7 +329,7 @@ class TestTopWorkersTable:
         assert "50.0%" in frame      # worker 0 hit ratio
         assert "DOWN" in frame       # worker 1 state
         assert "workers up 2/2" in frame
-        assert "calibration 0.42x" in frame
+        assert "ingests 2 (errors 0)" in frame
 
     def test_single_process_stats_render_without_workers(self):
         from repro.serve.top import render

@@ -110,7 +110,7 @@ class TestTierDifferential:
             # both paths key the program identically
             assert tiered["key"] == local["key"]
             workers_used.add(tiered["worker"])
-        # one program -> one content key -> exactly one worker
+        # one program text -> exactly one worker
         assert len(workers_used) == 1
         assert workers_used <= set(range(TIER_WORKERS))
 
@@ -236,3 +236,38 @@ class TestTierCounters:
         routed_rows = {row["id"]: row["routed"]
                        for row in stats["workers"]}
         assert sum(routed_rows.values()) == 8
+
+
+# ---------------------------------------------------------------------------
+# Routing on the raw program text
+# ---------------------------------------------------------------------------
+
+
+class TestFrontEndRouting:
+    def test_front_end_routes_without_parsing(self, tier, monkeypatch):
+        """The front-end (in this process) hashes each program text
+        onto the ring and never parses it; workers parse, including
+        the text that does not parse at all."""
+        from repro.core.tdd import TDD
+        parses: list = []
+        original = TDD.from_text
+
+        def counting(*args, **kwargs):
+            parses.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(TDD, "from_text", staticmethod(counting))
+        point = tier(workers=2)
+        programs = [f"tick(T+{p}) :- tick(T).\ntick(0).\n"
+                    for p in range(1, 7)]
+        items = [{"program": text, "query": "tick(0)"}
+                 for text in programs + ["not a program ("]]
+        status, data = point.post_json({"requests": items})
+        assert status == 200
+        responses = data["responses"]
+        assert [r["ok"] for r in responses] == [True] * 6 + [False]
+        assert "parse error" in responses[-1]["error"]
+        assert parses == []
+        ring = HashRing([0, 1])
+        assert [r["worker"] for r in responses] == [
+            ring.route(item["program"]) for item in items]

@@ -20,7 +20,7 @@ from repro.lang.errors import DeadlineExceeded, EvaluationError
 from repro.lang.pretty import format_program
 from repro.obs import EvalStats
 from repro.serve import QueryRequest, QueryService, SpecCache
-from repro.serve.service import DEGRADED_MAX_WINDOW
+from repro.serve.service import DEGRADED_MAX_WINDOW, PARSE_MEMO_SIZE
 from repro.workloads import coprime_cycles_database, coprime_cycles_program
 
 EVEN = "even(T+2) :- even(T).\neven(0).\n"
@@ -47,6 +47,20 @@ holiday(12).
 @pytest.fixture()
 def service():
     return QueryService(cache=SpecCache())
+
+
+def _count_estimates(monkeypatch) -> list:
+    """Wrap the admission estimate: record each program it costs."""
+    import repro.analysis.static as static
+    calls: list = []
+    original = static.predicted_cost
+
+    def wrapped(rules, *args, **kwargs):
+        calls.append(rules)
+        return original(rules, *args, **kwargs)
+
+    monkeypatch.setattr(static, "predicted_cost", wrapped)
+    return calls
 
 
 def _record_windows(monkeypatch, sleep: float = 0.0) -> list:
@@ -194,6 +208,14 @@ class TestDeadlines:
         assert response.ok and response.degraded
         assert response.answer is True
 
+    def test_degraded_answer_counts_no_spec_compute(self, service):
+        response = service.serve(QueryRequest(
+            program=EVEN, query="even(10)", deadline=0.0))
+        assert response.ok and response.degraded
+        counters = service.counters()
+        assert counters["degraded"] == 1
+        assert counters["spec_computes"] == 0
+
     def test_deadline_exceeded_is_an_evaluation_error(self):
         assert issubclass(DeadlineExceeded, EvaluationError)
         assert repro.serve.DeadlineExceeded is DeadlineExceeded
@@ -206,6 +228,17 @@ class TestSingleFlightTables:
                                        query="even(4)"))
         assert service.counters()["spec_computes"] == 200
         assert service._key_locks == {}
+
+    def test_per_program_tables_stay_bounded(self):
+        service = QueryService(cache=SpecCache(),
+                               max_predicted_cost=1e12)
+        for i in range(200):
+            service.serve(QueryRequest(program=f"{EVEN}mark(m{i}).\n",
+                                       query="even(4)"))
+        sizes = {name: len(value) for name, value in vars(service).items()
+                 if isinstance(value, dict)}
+        assert sizes
+        assert max(sizes.values()) <= PARSE_MEMO_SIZE, sizes
 
 
 class TestAnswerPayloads:
@@ -384,7 +417,8 @@ class TestAdmissionControl:
         assert response.refused is False
         assert "refused" in response.to_dict()
 
-    def test_whole_group_refused_and_cost_memoised(self):
+    def test_whole_group_refused_and_cost_memoised(self, monkeypatch):
+        estimates = _count_estimates(monkeypatch)
         strict = QueryService(cache=SpecCache(), max_predicted_cost=1.0)
         requests = [QueryRequest(program=TRAVEL,
                                  query=f"plane({t}, hunter)")
@@ -392,11 +426,21 @@ class TestAdmissionControl:
         responses = strict.serve_batch(requests)
         assert all(r.refused for r in responses)
         assert strict.counters()["refused"] == 3
-        # One program, one memoised estimate.
-        assert len(strict._cost_memo) == 1
+        # One program, one estimate, kept with its parse.
+        assert len(estimates) == 1
         strict.serve_batch(requests)
         assert strict.counters()["refused"] == 6
-        assert len(strict._cost_memo) == 1
+        assert len(estimates) == 1
+
+    def test_admitted_program_is_estimated_once(self, monkeypatch):
+        estimates = _count_estimates(monkeypatch)
+        generous = QueryService(cache=SpecCache(),
+                                max_predicted_cost=1e12)
+        for t in range(5):
+            response = generous.serve(QueryRequest(
+                program=EVEN, query=f"even({2 * t})"))
+            assert response.ok and response.answer is True
+        assert len(estimates) == 1
 
     def test_refused_counter_in_metrics_and_stats(self):
         strict = QueryService(cache=SpecCache(), max_predicted_cost=1.0)
