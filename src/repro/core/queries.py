@@ -33,7 +33,7 @@ from typing import Mapping, Sequence, Union
 
 from ..lang.atoms import Atom, Fact
 from ..lang.errors import ParseError, SortError
-from ..lang.parse import Token, is_variable_name, tokenize
+from ..lang.parse import Token, int_value, is_variable_name, tokenize
 from ..lang.terms import Const, TimeTerm, Var
 from ..temporal.bt import BTResult
 from .answers import DATA, TIME, AnswerSet, Value
@@ -241,14 +241,19 @@ def _atom_fact(atom: Atom, binding: Mapping[str, Value]) -> Fact:
 
 
 class _SpecDomain:
-    """Quantifier domains + atom oracle backed by a specification."""
+    """Quantifier domains + atom oracle backed by a specification.
+
+    The data domain is the spec's cached ``data_domain``, read only
+    when the data sort is enumerated.
+    """
 
     def __init__(self, spec: RelationalSpec):
         self.spec = spec
         self.time_domain: Sequence[int] = spec.representatives
-        self.data_domain: Sequence[Value] = sorted(
-            spec.active_domain(), key=str
-        )
+
+    @property
+    def data_domain(self) -> Sequence[Value]:
+        return self.spec.data_domain
 
     def holds(self, fact: Fact) -> bool:
         return self.spec.holds(fact)
@@ -546,6 +551,12 @@ def answers(query: Query, spec: RelationalSpec,
 
 _KEYWORDS = {"exists", "forall", "not", "and", "or", "implies"}
 
+#: Deepest nesting :func:`parse_query` accepts.  Each ``not``, opening
+#: parenthesis, quantified variable and ``implies`` adds a level, and
+#: parsing and evaluation recurse a few frames per level, so the bound
+#: keeps every accepted query well inside Python's recursion limit.
+MAX_QUERY_DEPTH = 64
+
 
 class _QueryParser:
     """Recursive-descent parser for the textual query syntax.
@@ -559,13 +570,24 @@ class _QueryParser:
         unary   := 'not' unary | '(' query ')' | atom | term '=' term
 
     Quantifier sorts are inferred from variable use (``"auto"`` until
-    the first evaluation resolves them).
+    the first evaluation resolves them).  Nesting past
+    :data:`MAX_QUERY_DEPTH` is a :class:`ParseError`.
     """
 
     def __init__(self, tokens: list[Token], temporal_preds: frozenset[str]):
         self._tokens = tokens
         self._pos = 0
         self._temporal = temporal_preds
+        self._depth = 0
+
+    def _nest(self, tok: Token, levels: int = 1) -> None:
+        """Enter ``levels`` nesting levels at ``tok``; the caller leaves
+        them by decrementing ``_depth`` once the nested part is parsed."""
+        self._depth += levels
+        if self._depth > MAX_QUERY_DEPTH:
+            raise ParseError(
+                f"query nests deeper than {MAX_QUERY_DEPTH} levels",
+                tok.line, tok.column)
 
     def _peek(self) -> Token:
         return self._tokens[self._pos]
@@ -599,7 +621,9 @@ class _QueryParser:
                 self._next()
                 names.append(self._variable())
             self._expect_symbol(":")
+            self._nest(tok, len(names))
             inner = self._query()
+            self._depth -= len(names)
             for name in reversed(names):
                 cls = Exists if tok.text == "exists" else Forall
                 inner = cls(name, "auto", inner)
@@ -618,7 +642,10 @@ class _QueryParser:
         tok = self._peek()
         if tok.kind == "ident" and tok.text == "implies":
             self._next()
-            return Implies(left, self._implies())
+            self._nest(tok)
+            right = self._implies()
+            self._depth -= 1
+            return Implies(left, right)
         return left
 
     def _or(self) -> Query:
@@ -646,11 +673,16 @@ class _QueryParser:
             return self._query()
         if tok.kind == "ident" and tok.text == "not":
             self._next()
-            return Not(self._unary())
+            self._nest(tok)
+            inner = self._unary()
+            self._depth -= 1
+            return Not(inner)
         if tok.kind == "symbol" and tok.text == "(":
             self._next()
+            self._nest(tok)
             inner = self._query()
             self._expect_symbol(")")
+            self._depth -= 1
             return inner
         if tok.kind in ("int", "string") or (
                 tok.kind == "ident" and tok.text not in _KEYWORDS):
@@ -664,7 +696,7 @@ class _QueryParser:
         where 'name' is ambiguous until position is known."""
         tok = self._next()
         if tok.kind == "int":
-            return ("int", int(tok.text))
+            return ("int", int_value(tok))
         if tok.kind == "string":
             return ("data", Const(tok.text))
         if tok.kind != "ident":
@@ -680,7 +712,7 @@ class _QueryParser:
                 raise ParseError(
                     f"{tok.text}+{k.text}: offsets apply to variables",
                     tok.line, tok.column)
-            return ("time", TimeTerm(tok.text, int(k.text)))
+            return ("time", TimeTerm(tok.text, int_value(k)))
         return ("name", tok.text)
 
     def _to_time(self, tagged, where: Token) -> TimeTerm:

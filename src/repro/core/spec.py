@@ -27,6 +27,7 @@ paper); open and quantified queries are handled in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from ..lang.atoms import Atom, Fact
@@ -107,6 +108,18 @@ class RelationalSpec:
         for fact in self.primary.facts():
             domain.update(fact.args)
         return domain
+
+    @cached_property
+    def data_domain(self) -> tuple[Union[str, int], ...]:
+        """The active domain of ``B`` in ``str`` order, built on first use.
+
+        The range of data quantifiers and free data variables in
+        :mod:`repro.core.queries`.  ``B`` never changes, so the pass over
+        it runs at most once per specification object, and only for a
+        query that enumerates the data sort: ground asks and join-path
+        answers never read it.
+        """
+        return tuple(sorted(self.active_domain(), key=str))
 
     def __repr__(self) -> str:
         return (f"RelationalSpec(|T|={len(self.representatives)}, "

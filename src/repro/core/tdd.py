@@ -95,7 +95,8 @@ class TDD:
     @classmethod
     def from_text(cls, text: str, engine: str = "seminaive") -> "TDD":
         """Build a TDD from program text (rules + facts, paper syntax)."""
-        program = parse_program(text)
+        # The constructor validates the rules, so parsing does not.
+        program = parse_program(text, validate=False)
         return cls(program.rules, program.facts,
                    temporal_preds=program.temporal_preds,
                    engine=engine)

@@ -39,8 +39,13 @@ from .errors import ParseError
 
 _SYMBOLS = (":-", "..", "(", ")", ",", ".", "+", "@", "/", ":", "=")
 
+# Tokens and the raw AST below are plain slotted records, not frozen
+# dataclasses: a parse builds one per token and term, and a frozen
+# dataclass costs about three times as much to construct.  Nothing
+# hashes them or keeps them past sort resolution.
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class Token:
     kind: str  # 'ident', 'int', 'string', 'symbol', 'eof'
     text: str
@@ -70,9 +75,9 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         col = i - line_start + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             # Guard against '12..34': the digits stop before the dots.
             tokens.append(Token("int", text[i:j], line, col))
@@ -109,11 +114,21 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def int_value(tok: Token) -> int:
+    """The value of an ``int`` token, as a located :class:`ParseError`
+    when it has more digits than Python converts."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer of {len(tok.text)} digits is too long",
+                         tok.line, tok.column) from None
+
+
 # ---------------------------------------------------------------------------
 # Raw AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RawTerm:
     """A term as parsed, before sort resolution.
 
@@ -129,7 +144,7 @@ class RawTerm:
     column: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RawAtom:
     pred: str
     terms: tuple[RawTerm, ...]
@@ -139,7 +154,7 @@ class RawAtom:
     end_column: int = 0  # exclusive; 0 when unknown
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RawClause:
     head: RawAtom
     body: tuple[RawAtom, ...]
@@ -251,11 +266,11 @@ class _Parser:
     def _term(self) -> RawTerm:
         tok = self._next()
         if tok.kind == "int":
-            lo = int(tok.text)
+            lo = int_value(tok)
             if self._peek().kind == "symbol" and self._peek().text == "..":
                 self._next()
                 hi_tok = self._expect("int")
-                hi = int(hi_tok.text)
+                hi = int_value(hi_tok)
                 if hi < lo:
                     raise ParseError(f"empty interval {lo}..{hi}",
                                      tok.line, tok.column)
@@ -267,7 +282,7 @@ class _Parser:
             if self._peek().kind == "symbol" and self._peek().text == "+":
                 self._next()
                 k_tok = self._expect("int")
-                return RawTerm("plus", (tok.text, int(k_tok.text)),
+                return RawTerm("plus", (tok.text, int_value(k_tok)),
                                tok.line, tok.column)
             return RawTerm("name", tok.text, tok.line, tok.column)
         raise ParseError(f"expected a term, got {tok.text!r}",

@@ -318,6 +318,9 @@ class _Handler(BaseHTTPRequestHandler):
                     "body must be a request object or "
                     "{'requests': [non-empty list]}")
             requests = [QueryRequest.from_dict(item) for item in raw]
+        except RecursionError:
+            return self._reply(400, {"error": "request body nests too "
+                                              "deeply"})
         except (ValueError, TypeError) as exc:
             return self._reply(400, {"error": str(exc)})
         return raw, requests

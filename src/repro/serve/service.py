@@ -129,10 +129,23 @@ class QueryRequest:
         explain = data.get("explain", False)
         if not isinstance(explain, bool):
             raise ValueError("request field 'explain' must be a boolean")
+        deadline = data.get("deadline")
+        # NaN, infinities and waits longer than a lock can take fail
+        # the last test.
+        if deadline is not None and (
+                isinstance(deadline, bool)
+                or not isinstance(deadline, (int, float))
+                or not abs(deadline) <= threading.TIMEOUT_MAX):
+            raise ValueError("request field 'deadline' must be a number "
+                             f"of seconds up to {threading.TIMEOUT_MAX:g}")
+        expand = data.get("expand")
+        if expand is not None and (isinstance(expand, bool) or
+                                   not isinstance(expand, int)):
+            raise ValueError("request field 'expand' must be an integer "
+                             "timepoint")
         return cls(program=data["program"], query=data["query"],
                    kind=data.get("kind", "ask"),
-                   deadline=data.get("deadline"),
-                   expand=data.get("expand"),
+                   deadline=deadline, expand=expand,
                    engine=engine,
                    explain=explain)
 

@@ -42,6 +42,19 @@ class TestTokenizer:
         q = next(t for t in tokens if t.text == "q")
         assert q.line == 2
 
+    def test_non_decimal_digit_is_a_located_parse_error(self):
+        # '²' is a digit to str.isdigit but no int() literal.
+        with pytest.raises(ParseError) as info:
+            tokenize("p(0).\np(\u00b2).")
+        assert (info.value.line, info.value.column) == (2, 3)
+        with pytest.raises(ParseError):
+            parse_program("p(\u00b2).")
+
+    def test_overlong_integer_is_a_located_parse_error(self):
+        with pytest.raises(ParseError, match="too long") as info:
+            parse_program("p(1" + "0" * 5000 + ").")
+        assert (info.value.line, info.value.column) == (1, 3)
+
 
 class TestProgramParsing:
     def test_even_example(self, even_program):

@@ -271,3 +271,20 @@ class TestFrontEndRouting:
         ring = HashRing([0, 1])
         assert [r["worker"] for r in responses] == [
             ring.route(item["program"]) for item in items]
+
+    def test_unlexable_digit_answers_without_retries(self, tier):
+        """A program whose digits are no int literal (``²``) is a parse
+        error inside its batch; the worker answers, so the front-end
+        forwards each request once."""
+        point = tier(workers=2)
+        status, data = point.post_json({"requests": [
+            {"program": "p(²).\n", "query": "p(0)"},
+            {"program": "even(T+2) :- even(T).\neven(0).\n",
+             "query": "even(4)"},
+        ]})
+        assert status == 200
+        bad, good = data["responses"]
+        assert bad["ok"] is False and "parse error" in bad["error"]
+        assert good["ok"] is True and good["answer"] is True
+        status, stats = point.get_json("/stats")
+        assert stats["frontend"]["retries"] == 0

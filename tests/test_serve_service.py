@@ -279,6 +279,15 @@ class TestRequestValidation:
         {"program": EVEN, "query": "even(0)", "surprise": 1},
         {"program": EVEN, "query": "even(0)", "engine": "warp"},
         {"program": EVEN, "query": "even(0)", "engine": 3},
+        *(pytest.param({"program": EVEN, "query": "even(X)", name: value},
+                       id=f"{name}-{label}")
+          for name, label, value in [
+              ("deadline", "str", "5"), ("deadline", "bool", True),
+              ("deadline", "nan", float("nan")),
+              ("deadline", "inf", float("inf")),
+              ("deadline", "huge", 10 ** 400),
+              ("expand", "str", "x"), ("expand", "bool", True),
+              ("expand", "float", 2.5)]),
     ])
     def test_from_dict_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -448,3 +457,64 @@ class TestAdmissionControl:
                                   query="plane(12, hunter)"))
         assert "repro_refused_total 1" in strict.prometheus_text()
         assert strict.stats_dict()["serve"]["refused"] == 1
+
+
+class TestMalformedInput:
+    """Malformed programs, queries and request fields are answered —
+    ``ok: false`` inside the batch, or a 400 — never a dropped
+    connection."""
+
+    SUPERSCRIPT = "p(²).\n"  # '²' passes str.isdigit, not int()
+
+    @pytest.fixture()
+    def endpoint(self, serve_endpoint):
+        return serve_endpoint()
+
+    def test_non_decimal_digit_program_answers_its_batch(self, service):
+        bad, good = service.serve_batch([
+            QueryRequest(program=self.SUPERSCRIPT, query="p(0)"),
+            QueryRequest(program=EVEN, query="even(4)"),
+        ])
+        assert not bad.ok and "program parse error" in bad.error
+        assert "column 3" in bad.error
+        assert good.ok and good.answer is True
+
+    def test_non_decimal_digit_program_over_http(self, endpoint):
+        status, data = endpoint.post_json({"requests": [
+            {"program": self.SUPERSCRIPT, "query": "p(0)"},
+            {"program": EVEN, "query": "even(4)"},
+        ]})
+        assert status == 200
+        bad, good = data["responses"]
+        assert bad["ok"] is False and "parse error" in bad["error"]
+        assert good["ok"] is True and good["answer"] is True
+
+    @pytest.mark.parametrize("field", [{"deadline": "5"},
+                                       {"expand": "x"}],
+                             ids=["deadline", "expand"])
+    def test_mistyped_number_is_400(self, endpoint, field):
+        status, data = endpoint.post_json({"requests": [
+            {"program": EVEN, "query": "even(X)", "kind": "answers",
+             **field}]})
+        assert status == 400 and next(iter(field)) in data["error"]
+
+    @pytest.mark.parametrize("query", [
+        "not " * 3000 + "even(4)",
+        "(" * 3000 + "even(4)" + ")" * 3000,
+    ], ids=["not", "parentheses"])
+    def test_deeply_nested_query_is_a_parse_error(self, service, query):
+        response = service.serve(QueryRequest(program=EVEN, query=query))
+        assert not response.ok and "nests deeper" in response.error
+
+    def test_nesting_within_the_bound_still_answers(self, service):
+        from repro.core.queries import MAX_QUERY_DEPTH
+        depth = MAX_QUERY_DEPTH
+        response = service.serve(QueryRequest(
+            program=EVEN,
+            query="(" * (depth // 2) + "not " * (depth // 2) + "even(4)"
+                  + ")" * (depth // 2)))
+        assert response.ok and response.answer is True
+
+    def test_deeply_nested_body_is_400(self, endpoint):
+        status, data = endpoint.post_json("[" * 100_000 + "]" * 100_000)
+        assert status == 400 and "nests" in data["error"]

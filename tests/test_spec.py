@@ -114,3 +114,38 @@ class TestFactsBetween:
             if 20 <= f.time <= 60
         }
         assert via_spec == expected
+
+
+class TestDataDomain:
+    """The active domain of ``B`` is built at most once per spec, and
+    only for queries that enumerate the data sort."""
+
+    def test_built_once_and_only_when_enumerated(self, monkeypatch,
+                                                 travel_program,
+                                                 travel_db):
+        from repro.core.queries import answers, evaluate, parse_query
+        from repro.core.spec import RelationalSpec
+        builds: list = []
+        original = RelationalSpec.active_domain
+
+        def counting(spec):
+            builds.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(RelationalSpec, "active_domain", counting)
+        spec = compute_specification(travel_program.rules, travel_db)
+        preds = travel_program.temporal_preds
+
+        def ask(text: str) -> bool:
+            return evaluate(parse_query(text, preds), spec)
+
+        assert ask(f"plane({377 + 365 * 10 ** 6}, hunter)") is True
+        joined = answers(parse_query("plane(T, X) and resort(X)", preds),
+                         spec, method="join")
+        assert ("hunter" in {values[1]
+                             for values in joined.substitutions})
+        assert builds == []
+        for _ in range(50):
+            assert ask("exists X: plane(12, X)") is True
+        assert len(builds) == 1
+        assert spec.data_domain == tuple(sorted(original(spec), key=str))
