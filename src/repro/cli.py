@@ -111,13 +111,20 @@ def _parse_file(path: str) -> tuple[TDD, str]:
         raise _SourceError(path, text, exc) from exc
 
 
+def _obs(args) -> tuple:
+    """The run's :class:`EvalStats` (None without ``--stats`` or
+    ``--trace``) and the tracer attached to it."""
+    stats = getattr(args, "_obs", None)
+    return stats, (stats.tracer if stats is not None else None)
+
+
 def _load(args) -> TDD:
     tdd, text = _parse_file(args.file)
     engine = getattr(args, "engine", None)
     if engine is not None:
         from .engines import canonical_window_engine
         tdd.engine = canonical_window_engine(engine)
-    stats, tracer = getattr(args, "_obs", (None, None))
+    stats, tracer = _obs(args)
     provenance = None
     if getattr(args, "trace_provenance", None):
         from .obs.provenance import ProvenanceStore
@@ -136,20 +143,19 @@ def _load(args) -> TDD:
             if tracer is not None:
                 tracer.emit_run_start("bt", program=args.file,
                                       text=text)
-            tdd.evaluate(stats=stats, tracer=tracer,
-                         provenance=provenance)
+            tdd.evaluate(stats=stats, provenance=provenance)
             cache.put(key, tdd.specification())
             source = "computed"
         if stats is not None:
             stats.extra["cache"] = dict(cache.counters(),
                                         source=source, key=key)
         return tdd
-    if stats is not None or tracer is not None or provenance is not None:
+    if stats is not None:
         # Evaluate eagerly under instrumentation; the result is cached,
         # so the command's own queries reuse it.
         if tracer is not None:
             tracer.emit_run_start("bt", program=args.file, text=text)
-        tdd.evaluate(stats=stats, tracer=tracer, provenance=provenance)
+        tdd.evaluate(stats=stats, provenance=provenance)
     return tdd
 
 
@@ -329,13 +335,13 @@ def cmd_profile(args, out: TextIO) -> int:
               f"{', '.join(PROFILE_ENGINES)}", file=sys.stderr)
         return 2
     tdd, text = _parse_file(args.file)
-    _, tracer = getattr(args, "_obs", (None, None))
+    stats, tracer = _obs(args)
     query = (None if args.query is None
              else _ground_atom(tdd, args.query, "profile --query"))
     if tracer is not None:
         tracer.emit_run_start(args.engine, program=args.file, text=text)
     report = profile_tdd(tdd, args.file, engine=args.engine,
-                         query=query, tracer=tracer)
+                         query=query, stats=stats)
     if args.folded:
         print(render_folded(report), file=out)
     elif args.format == "json":
@@ -452,7 +458,7 @@ def cmd_serve(args, out: TextIO) -> int:
     from .serve import (AccessLog, Collector, QueryService, SpecCache,
                         make_server)
     cache = SpecCache(args.cache) if args.cache else SpecCache()
-    stats, tracer = getattr(args, "_obs", (None, None))
+    stats, tracer = _obs(args)
     collector = None if args.no_collect else Collector()
     # `--trace FILE` on serve exports schema-3 span events: one
     # `span` line per request phase, same sink machinery as engine
@@ -527,7 +533,7 @@ def _cmd_serve_tier(args, out: TextIO) -> int:
         print(f"error: --workers must be positive, got {args.workers}",
               file=sys.stderr)
         return 2
-    stats, tracer = getattr(args, "_obs", (None, None))
+    stats, tracer = _obs(args)
     access_log = None
     if args.access_log:
         try:
@@ -1065,7 +1071,6 @@ def main(argv: Union[Sequence[str], None] = None,
     parser = build_parser()
     args = parser.parse_args(argv)
     stream = out if out is not None else sys.stdout
-    stats = EvalStats() if getattr(args, "stats", False) else None
     tracer = None
     if getattr(args, "trace", None):
         try:
@@ -1078,10 +1083,15 @@ def main(argv: Union[Sequence[str], None] = None,
         print("error: --trace-provenance needs --trace FILE",
               file=sys.stderr)
         return 2
+    show_stats = getattr(args, "stats", False)
+    # The run's EvalStats records every traced event, so `--trace`
+    # needs one even when `--stats` does not print it.
+    stats = (EvalStats(tracer=tracer)
+             if show_stats or tracer is not None else None)
     try:
-        args._obs = (stats, tracer)
+        args._obs = stats
         code = args.func(args, stream)
-        if stats is not None:
+        if show_stats:
             print("\n-- eval stats --", file=stream)
             print(stats.summary(), file=stream)
         return code

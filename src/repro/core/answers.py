@@ -96,6 +96,28 @@ class AnswerSet:
             for pos in time_positions
         )
 
+    def expansion_size(self, time_bound: int) -> int:
+        """How many rows :meth:`expand` yields for ``time_bound``,
+        counted from ``b``, ``p`` and the canonical values alone.
+
+        Up to the bound, a value below ``b`` is its own only preimage
+        and a value ``r ≥ b`` has ``(time_bound − r) // p + 1``; a
+        substitution expands to the product over its time positions.
+        """
+        times = [i for i, (_, sort) in enumerate(self.variables)
+                 if sort == TIME]
+        total = 0
+        for values in self.substitutions:
+            rows = 1
+            for i in times:
+                value = values[i]
+                if value > time_bound:  # type: ignore[operator]
+                    rows = 0
+                elif value >= self.b:  # type: ignore[operator]
+                    rows *= (time_bound - value) // self.p + 1
+            total += rows
+        return total
+
     def expand(self, time_bound: int) -> Iterator[Substitution]:
         """Enumerate concrete answers with temporal values ≤ time_bound.
 

@@ -213,8 +213,7 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set[str],
 def magic_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                    query: Atom,
                    horizon: Union[int, None] = None,
-                   stats=None, tracer=None,
-                   metrics=None) -> TemporalStore:
+                   stats=None, metrics=None) -> TemporalStore:
     """Evaluate the magic-rewritten program for ``query``.
 
     ``horizon`` defaults to ``max(query time, database depth) + g`` —
@@ -223,8 +222,8 @@ def magic_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
     unbound temporal term need an explicit horizon (their answer set
     may reach arbitrarily far).
     """
-    from ..obs.timing import phase_timer
-    with phase_timer(stats, "magic_rewrite", tracer):
+    from ..obs.stats import phase_timer
+    with phase_timer(stats, "magic_rewrite"):
         program = magic_transform(rules, query)
     if stats is not None:
         stats.engine = "magic"
@@ -246,12 +245,12 @@ def magic_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
     # the syntactic sense (a magic head with no body); evaluate without
     # the paper-level validator.
     return fixpoint(program.rules, seeded, horizon, stats=stats,
-                    tracer=tracer, metrics=metrics)
+                    metrics=metrics)
 
 
 def magic_ask(rules: Sequence[Rule], database: TemporalDatabase,
               goal: Union[Fact, Atom],
-              stats=None, tracer=None, metrics=None) -> bool:
+              stats=None, metrics=None) -> bool:
     """Goal-directed ground atomic query via magic sets.
 
     Equivalent to ``bt_evaluate(...).holds(goal)`` (property-tested) but
@@ -262,7 +261,7 @@ def magic_ask(rules: Sequence[Rule], database: TemporalDatabase,
     if not goal.is_ground:
         raise ClassificationError("magic_ask expects a ground goal")
     store = magic_evaluate(rules, database, goal, stats=stats,
-                           tracer=tracer, metrics=metrics)
+                           metrics=metrics)
     program_pred = _adorned_name(goal.pred, _atom_adornment(goal, set()))
     answer = Fact(program_pred,
                   goal.time.offset if goal.time is not None else None,

@@ -159,7 +159,7 @@ def compute_specification(rules: Sequence[Rule],
                           range_bound: Union[int, None] = None,
                           max_window: int = 1 << 20,
                           engine: str = "seminaive",
-                          stats=None, tracer=None, metrics=None,
+                          stats=None, metrics=None,
                           provenance=None, deadline=None) -> RelationalSpec:
     """Compute the relational specification ``S(Z∧D)``.
 
@@ -171,9 +171,10 @@ def compute_specification(rules: Sequence[Rule],
     (see :mod:`repro.engines`); the specification is the same either
     way — only the time to build it differs.
 
-    ``stats`` / ``tracer`` / ``metrics`` / ``provenance`` are the
-    standard engine instruments (all default to ``None`` and cost
-    nothing absent) — the serving tier passes a fresh
+    ``stats`` / ``metrics`` / ``provenance`` are the standard engine
+    instruments (all default to ``None`` and cost nothing absent); an
+    :class:`~repro.obs.stats.EvalStats` with a tracer attached also
+    writes the run's trace.  The serving tier passes a fresh
     :class:`~repro.obs.metrics.MetricsRegistry` and a sampled
     :class:`~repro.obs.provenance.ProvenanceStore` here so every spec
     computation feeds the continuous per-rule profile.  ``deadline``
@@ -181,7 +182,7 @@ def compute_specification(rules: Sequence[Rule],
     """
     result = bt_evaluate(rules, database, window=window,
                          range_bound=range_bound, max_window=max_window,
-                         engine=engine, stats=stats, tracer=tracer,
+                         engine=engine, stats=stats,
                          metrics=metrics, provenance=provenance,
                          deadline=deadline)
     return spec_from_result(result)

@@ -103,27 +103,25 @@ class TDD:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, stats=None, tracer=None, metrics=None,
+    def evaluate(self, stats=None, metrics=None,
                  provenance=None, **bt_kwargs) -> BTResult:
         """Run algorithm BT (cached when called without tuning arguments).
 
-        ``stats``/``tracer``/``metrics``/``provenance`` plug the
-        observability layer in (:mod:`repro.obs`); the instrumented
-        result is cached like the plain one, so follow-up queries reuse
-        it (and :meth:`explain` prefers the recorded provenance).
+        ``stats``/``metrics``/``provenance`` plug the observability
+        layer in (:mod:`repro.obs`; a tracer rides on ``stats``); the
+        instrumented result is cached like the plain one, so follow-up
+        queries reuse it (and :meth:`explain` prefers the recorded
+        provenance).
         """
         if bt_kwargs:
             bt_kwargs.setdefault("engine", self.engine)
             return bt_evaluate(self.rules, self.database,
-                               stats=stats, tracer=tracer,
-                               metrics=metrics, provenance=provenance,
-                               **bt_kwargs)
+                               stats=stats, metrics=metrics,
+                               provenance=provenance, **bt_kwargs)
         if self._result is None or stats is not None \
-                or tracer is not None or metrics is not None \
-                or provenance is not None:
+                or metrics is not None or provenance is not None:
             self._result = bt_evaluate(self.rules, self.database,
-                                       stats=stats, tracer=tracer,
-                                       metrics=metrics,
+                                       stats=stats, metrics=metrics,
                                        provenance=provenance,
                                        engine=self.engine)
             if provenance is not None:

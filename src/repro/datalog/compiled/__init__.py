@@ -18,7 +18,8 @@ compiles the hot path:
 * :func:`~repro.datalog.compiled.engine.compiled_fixpoint` replays the
   plans in the same semi-naive loop as
   :func:`repro.temporal.operator.fixpoint`, with identical
-  stats/tracer/metrics semantics.
+  stats/metrics/provenance semantics (trace events included: they
+  are written through the stats' tracer).
 """
 
 from .engine import compile_program, compiled_fixpoint

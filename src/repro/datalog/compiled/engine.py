@@ -131,7 +131,7 @@ def _record_captured(provenance, rule, captured, values,
 def compiled_fixpoint(rules: Sequence[Rule], database,
                       horizon: int,
                       max_facts: Union[int, None] = None,
-                      stats=None, tracer=None, metrics=None,
+                      stats=None, metrics=None,
                       provenance=None):
     """Least fixpoint of the window-truncated operator, compiled.
 
@@ -170,11 +170,8 @@ def compiled_fixpoint(rules: Sequence[Rule], database,
                          else max(stats.horizon, horizon))
         stats.extra["initial_facts"] = (
             stats.extra.get("initial_facts", 0) + store.count)
-    if tracer is not None:
-        tracer.emit("eval_start", engine=stats.engine if stats else
-                    "compiled", horizon=horizon,
-                    rules=len(program.rules),
-                    initial_facts=store.count)
+        stats.emit("eval_start", engine=stats.engine, horizon=horizon,
+                   rules=len(program.rules), initial_facts=store.count)
 
     # Attribute metrics to the *caller's* rule objects: the cached
     # program may hold structurally-equal rules from an earlier caller,
@@ -257,27 +254,25 @@ def compiled_fixpoint(rules: Sequence[Rule], database,
                 f"window (currently {store.count} facts)"
             )
         if stats is not None:
-            stats.record_round(derived=derived, delta=delta_count)
+            stats.record_round(derived, delta_count, round=round_no,
+                               probes=probes, store=store.count)
             stats.join_probes += probes
-        if tracer is not None:
-            tracer.emit("round", round=round_no, delta=delta_count,
-                        derived=derived, probes=probes,
-                        store=store.count)
-            values = program.symbols.resolve_all()
-            for pred, slices in out.items():
-                for time, rows in slices.items():
-                    for row in rows:
-                        tracer.emit("fact", pred=pred, time=time,
-                                    args=[values[i] for i in row])
+            if stats.tracer is not None:
+                values = program.symbols.resolve_all()
+                for pred, slices in out.items():
+                    for time, rows in slices.items():
+                        for row in rows:
+                            stats.emit("fact", pred=pred, time=time,
+                                       args=[values[i] for i in row])
         delta_rel = out
         delta_count = derived
 
-    if stats is not None and metrics is not None:
-        metrics.export_into(stats)
-    if stats is not None and provenance is not None:
-        provenance.export_into(stats)
-    if tracer is not None:
-        tracer.emit("eval_end", facts=store.count)
+    if stats is not None:
+        if metrics is not None:
+            metrics.export_into(stats)
+        if provenance is not None:
+            provenance.export_into(stats)
+        stats.emit("eval_end", facts=store.count)
     return store.to_temporal_store()
 
 

@@ -210,7 +210,7 @@ def immediate_consequences(rules: Sequence[Rule],
 
 def _naive_group(rules: Sequence[Rule], store: FactStore,
                  max_iterations: Union[int, None] = None,
-                 stats=None, tracer=None, metrics=None) -> None:
+                 stats=None, metrics=None) -> None:
     """Naive iteration of one (stratum's) rule group, in place."""
     iterations = 0
     while True:
@@ -223,10 +223,8 @@ def _naive_group(rules: Sequence[Rule], store: FactStore,
             if store.add(fact.pred, fact.args):
                 changed += 1
         if stats is not None:
-            stats.record_round(derived=changed)
-        if tracer is not None:
-            tracer.emit("round", round=iterations, derived=changed,
-                        store=len(store))
+            stats.record_round(changed, round=iterations,
+                               store=len(store))
         if not changed:
             break
 
@@ -250,7 +248,7 @@ def _strata(rules: Sequence[Rule]) -> "list[list[Rule]]":
 
 def naive_evaluate(rules: Sequence[Rule], edb: Iterable[Fact],
                    max_iterations: Union[int, None] = None,
-                   stats=None, tracer=None, metrics=None) -> FactStore:
+                   stats=None, metrics=None) -> FactStore:
     """The (perfect) model by naive iteration, stratum by stratum.
 
     For definite programs this is the least fixpoint ``⋃ T_S^i(∅) ∪ D``;
@@ -265,7 +263,7 @@ def naive_evaluate(rules: Sequence[Rule], edb: Iterable[Fact],
         store.stats = stats
     for group in _strata(rules):
         _naive_group(group, store, max_iterations, stats=stats,
-                     tracer=tracer, metrics=metrics)
+                     metrics=metrics)
     if metrics is not None and stats is not None:
         metrics.export_into(stats)
     store.stats = None
@@ -273,7 +271,7 @@ def naive_evaluate(rules: Sequence[Rule], edb: Iterable[Fact],
 
 
 def _seminaive_group(rules: Sequence[Rule], store: FactStore,
-                     stats=None, tracer=None, metrics=None,
+                     stats=None, metrics=None,
                      provenance=None) -> None:
     """Semi-naive iteration of one (stratum's) rule group, in place."""
     # Round 0 below joins against the full store, so the initial delta
@@ -328,11 +326,9 @@ def _seminaive_group(rules: Sequence[Rule], store: FactStore,
             rm.seconds += perf_counter() - rule_t0
             rm.end_round()
     if stats is not None:
-        stats.record_round(derived=len(delta), delta=initial)
+        stats.record_round(len(delta), initial, round=0, probes=probes0,
+                           store=len(store))
         stats.join_probes += probes0
-    if tracer is not None:
-        tracer.emit("round", round=0, delta=initial,
-                    derived=len(delta), probes=probes0, store=len(store))
 
     # Precompute, per rule, the plans that lead with each body position.
     plans: list[tuple] = []
@@ -381,17 +377,15 @@ def _seminaive_group(rules: Sequence[Rule], store: FactStore,
                 rm.seconds += perf_counter() - rule_t0
                 rm.end_round()
         if stats is not None:
-            stats.record_round(derived=len(new_delta), delta=len(delta))
+            stats.record_round(len(new_delta), len(delta),
+                               round=round_no, probes=probes,
+                               store=len(store))
             stats.join_probes += probes
-        if tracer is not None:
-            tracer.emit("round", round=round_no,
-                        delta=len(delta), derived=len(new_delta),
-                        probes=probes, store=len(store))
         delta = new_delta
 
 
 def seminaive_evaluate(rules: Sequence[Rule], edb: Iterable[Fact],
-                       stats=None, tracer=None, metrics=None,
+                       stats=None, metrics=None,
                        provenance=None) -> FactStore:
     """The (perfect) model by semi-naive iteration with delta relations.
 
@@ -408,8 +402,8 @@ def seminaive_evaluate(rules: Sequence[Rule], edb: Iterable[Fact],
         stats.extra["initial_facts"] = len(store)
         store.stats = stats
     for group in _strata(rules):
-        _seminaive_group(group, store, stats=stats, tracer=tracer,
-                         metrics=metrics, provenance=provenance)
+        _seminaive_group(group, store, stats=stats, metrics=metrics,
+                         provenance=provenance)
     if metrics is not None and stats is not None:
         metrics.export_into(stats)
     if provenance is not None and stats is not None:

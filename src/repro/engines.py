@@ -64,7 +64,7 @@ def window_fixpoint(name: str = "seminaive") -> Callable:
     Every returned callable has the
     :func:`repro.temporal.operator.fixpoint` signature:
     ``(rules, database, horizon, max_facts=None, stats=None,
-    tracer=None, metrics=None) -> TemporalStore``.
+    metrics=None, provenance=None) -> TemporalStore``.
     """
     resolved = canonical_window_engine(name)
     if resolved == "compiled":

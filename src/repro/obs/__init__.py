@@ -2,16 +2,18 @@
 
 Every engine — naive/semi-naive Datalog, the temporal operator behind
 algorithm BT, the incremental model, top-down tabling, magic sets, and
-the interval engine — accepts an optional :class:`EvalStats` accumulator
-and an optional :class:`Tracer`.  Both default to ``None`` and cost
-(near) nothing when absent, so the hot paths stay unchanged; when
-supplied, they make *how* an answer was computed a first-class artifact:
-rounds, per-round delta sizes, join probes, index behaviour, the horizon
-used, the detected period, and wall time per phase.
+the interval engine — accepts an optional :class:`EvalStats`
+accumulator.  It defaults to ``None`` and costs (near) nothing when
+absent, so the hot paths stay unchanged; when supplied, it makes *how*
+an answer was computed a first-class artifact: rounds, per-round delta
+sizes, join probes, index behaviour, the horizon used, the detected
+period, and wall time per phase (:func:`phase_timer`).
 
-The trace is a JSON-lines event stream with a pluggable sink
-(:class:`JsonLinesSink` for files, :class:`ListSink` for tests); the
-event schema is documented in ``docs/INTERNALS.md``.
+An ``EvalStats`` may carry a :class:`Tracer`; it then writes each
+round, phase and period it records as a trace event, so a run is
+recorded once.  The trace is a JSON-lines event stream with a pluggable
+sink (:class:`JsonLinesSink` for files, :class:`ListSink` for tests);
+the event schema is documented in ``docs/INTERNALS.md``.
 
 Per-rule attribution lives one level down: a :class:`MetricsRegistry`
 (also accepted by every engine, as ``metrics=None``) credits firings,
@@ -37,18 +39,17 @@ from .collector import RuleWindowAggregator, TraceStore, render_trace_tree
 from .metrics import Histogram, MetricsRegistry, RuleMetrics
 from .provenance import (FailedFiring, ProvenanceStore, WhyNotReport,
                          render_proof, why_not)
-from .stats import EvalStats
+from .stats import EvalStats, phase_timer
 from .telemetry import (DEFAULT_LATENCY_BUCKETS_MS, LatencyHistogram,
                         Span, SpanContext, Telemetry, new_span_id,
                         new_trace_id, valid_span_id, valid_trace_id)
-from .timing import Stopwatch, phase_timer
 from .trace import TRACE_SCHEMA, JsonLinesSink, ListSink, Tracer
 
 __all__ = [
     "EvalStats",
     "Tracer", "JsonLinesSink", "ListSink", "TRACE_SCHEMA",
     "MetricsRegistry", "RuleMetrics", "Histogram",
-    "Stopwatch", "phase_timer",
+    "phase_timer",
     "Telemetry", "Span", "SpanContext", "LatencyHistogram",
     "new_trace_id", "new_span_id", "valid_trace_id", "valid_span_id",
     "DEFAULT_LATENCY_BUCKETS_MS",

@@ -78,11 +78,14 @@ def _plan_records(rules) -> "list[dict]":
 
 
 def profile_tdd(tdd, program: str, engine: str = "bt",
-                query=None, tracer=None) -> ProfileReport:
+                query=None,
+                stats: Union[EvalStats, None] = None) -> ProfileReport:
     """Evaluate ``tdd`` under a fresh registry with the named engine.
 
     ``query`` (a ground :class:`~repro.lang.atoms.Atom`) is required by
-    the goal-directed engines and ignored by the others.  Raises
+    the goal-directed engines and ignored by the others.  ``stats`` is
+    the run's accumulator (a fresh one when omitted; attach a tracer to
+    it to trace the profiled run).  Raises
     :class:`~repro.lang.errors.EvaluationError` on a missing query or
     an engine/fragment mismatch.
     """
@@ -96,18 +99,19 @@ def profile_tdd(tdd, program: str, engine: str = "bt",
     from .provenance import ProvenanceStore
 
     registry = MetricsRegistry()
-    stats = EvalStats()
+    if stats is None:
+        stats = EvalStats()
     answer: Union[bool, None] = None
     if engine == "bt":
         # The full-model engines also record provenance, so the profile
         # carries the proof-DAG shape (supports histogram, depth,
         # in-degree) next to the per-rule time.
-        tdd.evaluate(stats=stats, tracer=tracer, metrics=registry,
+        tdd.evaluate(stats=stats, metrics=registry,
                      provenance=ProvenanceStore())
     elif engine == "compiled":
         # The same BT driver, with the compiled window engine (interned
         # ints + indexed join plans) doing each window's fixpoint.
-        tdd.evaluate(stats=stats, tracer=tracer, metrics=registry,
+        tdd.evaluate(stats=stats, metrics=registry,
                      provenance=ProvenanceStore(), engine="compiled")
     elif engine in ("verbatim", "interval"):
         # These take an explicit window; borrow the one BT settles on
@@ -116,12 +120,11 @@ def profile_tdd(tdd, program: str, engine: str = "bt",
         if engine == "verbatim":
             from ..temporal.bt import bt_verbatim
             bt_verbatim(tdd.rules, tdd.database, horizon, stats=stats,
-                        tracer=tracer, metrics=registry)
+                        metrics=registry)
         else:
             from ..temporal.interval_engine import interval_fixpoint
             interval_fixpoint(tdd.rules, tdd.database, horizon,
-                              stats=stats, tracer=tracer,
-                              metrics=registry)
+                              stats=stats, metrics=registry)
     else:
         if query is None:
             raise EvaluationError(
@@ -131,13 +134,11 @@ def profile_tdd(tdd, program: str, engine: str = "bt",
         if engine == "magic":
             from ..core.magic import magic_ask
             answer = magic_ask(tdd.rules, tdd.database, query,
-                               stats=stats, tracer=tracer,
-                               metrics=registry)
+                               stats=stats, metrics=registry)
         else:
             from ..temporal.topdown import topdown_ask
             answer = topdown_ask(tdd.rules, tdd.database, query,
-                                 stats=stats, tracer=tracer,
-                                 metrics=registry)
+                                 stats=stats, metrics=registry)
     plans = (_plan_records(tdd.rules) if engine == "compiled"
              else None)
     return ProfileReport(program=program, engine=engine,

@@ -8,6 +8,10 @@ wall time.  Instances merge (for multi-stage runs such as incremental
 maintenance) and serialize to plain JSON dictionaries (for benchmark
 reports and trace files).
 
+It is also the one recorder of a run: with a :class:`Tracer` attached,
+each round, phase and period it accounts is written to the trace as it
+happens, so engines report every event exactly once.
+
 Counting inference steps is the lens of the paper's polynomial-time
 claims (Theorem 4.1 bounds the work of algorithm BT); these counters
 make the bound observable on real runs.
@@ -16,8 +20,12 @@ make the bound observable on real runs.
 from __future__ import annotations
 
 import json
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
+
+from .trace import Tracer
 
 
 @dataclass
@@ -31,6 +39,10 @@ class EvalStats:
     ``join_probes`` counts candidate bindings enumerated by the join
     machinery; ``index_hits``/``index_misses`` count positional-index
     probes against already-built vs freshly-built indexes.
+
+    ``tracer`` receives the run's trace events (``eval_start``,
+    ``round``, ``fact``, ``phase``, ``period``, ``eval_end`` and the
+    engine-specific ones); it is not serialized, merged or compared.
     """
 
     engine: str = ""
@@ -45,22 +57,51 @@ class EvalStats:
     period: Union[tuple[int, int], None] = None
     phase_seconds: dict[str, float] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    tracer: Union[Tracer, None] = field(default=None, repr=False,
+                                        compare=False)
 
     # -- recording -------------------------------------------------------
 
+    def emit(self, event: str, **payload) -> None:
+        """Write one trace event of this run; a no-op without a tracer."""
+        if self.tracer is not None:
+            self.tracer.emit(event, **payload)
+
     def record_round(self, derived: int,
-                     delta: Union[int, None] = None) -> None:
+                     delta: Union[int, None] = None, *,
+                     round: Union[int, None] = None,
+                     probes: Union[int, None] = None,
+                     store: Union[int, None] = None,
+                     subgoals: Union[int, None] = None,
+                     merges: Union[int, None] = None) -> None:
         """Account one fixpoint round: ``derived`` new facts, optionally
-        the size of the delta that drove it."""
+        the size of the delta that drove it.
+
+        The keywords complete the round's trace event, each written
+        when given: its number, the join ``probes``, the ``store``
+        size, the top-down engine's ``subgoals`` tables, and the
+        interval engine's ``merges``, written in place of ``derived``.
+        """
         self.rounds += 1
         self.facts_per_round.append(derived)
         if delta is not None:
             self.delta_sizes.append(delta)
         self.facts_derived += derived
+        if self.tracer is not None:
+            payload = {"round": round, "delta": delta, "probes": probes,
+                       "store": store, "subgoals": subgoals}
+            if merges is None:
+                payload["derived"] = derived
+            else:
+                payload["merges"] = merges
+            self.tracer.emit("round", **{key: value for key, value
+                                         in payload.items()
+                                         if value is not None})
 
     def add_phase(self, name: str, seconds: float) -> None:
         """Accumulate wall time into the named phase."""
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
+        self.emit("phase", name=name, seconds=round(seconds, 6))
 
     # -- combination -----------------------------------------------------
 
@@ -86,7 +127,8 @@ class EvalStats:
         if other.period is not None:
             self.period = other.period
         for name, seconds in other.phase_seconds.items():
-            self.add_phase(name, seconds)
+            self.phase_seconds[name] = (self.phase_seconds.get(name, 0.0)
+                                        + seconds)
         self.extra.update(other.extra)
         return self
 
@@ -167,3 +209,16 @@ class EvalStats:
         for key, value in self.extra.items():
             lines.append(f"{key}: {value}")
         return "\n".join(lines)
+
+
+@contextmanager
+def phase_timer(stats: Union[EvalStats, None],
+                name: str) -> Iterator[None]:
+    """Time a phase into ``stats`` (and its trace); one clock read when
+    ``stats`` is None, so call sites need no guards of their own."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        if stats is not None:
+            stats.add_phase(name, time.perf_counter() - t0)

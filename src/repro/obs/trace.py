@@ -1,11 +1,12 @@
 """Structured tracing: a JSON-lines event stream with pluggable sinks.
 
-Engines call :meth:`Tracer.emit` at round boundaries, phase ends, and
-period detection; each emit produces one event dictionary handed to the
-sink.  A :class:`Tracer` built over ``sink=None`` is disabled: ``emit``
+An evaluation run's :class:`~repro.obs.stats.EvalStats` calls
+:meth:`Tracer.emit` at round boundaries, phase ends, and period
+detection; each emit produces one event dictionary handed to the sink.
+A :class:`Tracer` built over ``sink=None`` is disabled: ``emit``
 returns immediately and no event objects are allocated, so leaving a
-tracer plumbed through but unconfigured is free.  Engines additionally
-treat ``tracer=None`` as "no tracing" and skip the call sites entirely.
+tracer plumbed through but unconfigured is free.  An ``EvalStats``
+without a tracer (``tracer=None``, the default) writes no events.
 
 The event schema (one JSON object per line) is documented in
 ``docs/INTERNALS.md``; every event carries ``event`` (the type) and

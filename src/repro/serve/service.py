@@ -78,6 +78,12 @@ DEGRADED_MAX_WINDOW = 4096
 #: Bounded so a SIGKILLed peer can only stall, never wedge, a request.
 PEER_WAIT_LIMIT = 10.0
 
+#: Most concrete rows one ``answers`` request may ``expand`` to.  The
+#: rows are counted before any is built; past the cap the request is
+#: answered ``ok=False`` (the largest expansion in the cold-spec
+#: benchmark corpus is 162 rows).
+MAX_EXPANDED_ROWS = 100_000
+
 #: Parsed programs memoised per service (keyed by raw request text).
 #: Parsing + content-hashing a large program dwarfs a warm query, so a
 #: server answering many requests for the same program must not redo
@@ -547,6 +553,11 @@ class QueryService:
             "rewrites": str(result.rewrites),
         }
         if request.expand is not None:
+            rows = result.expansion_size(request.expand)
+            if rows > MAX_EXPANDED_ROWS:
+                raise ReproError(
+                    f"expand={request.expand} would list {rows} answers, "
+                    f"more than MAX_EXPANDED_ROWS={MAX_EXPANDED_ROWS}")
             payload["expanded"] = list(result.expand(request.expand))
         return payload
 
@@ -631,7 +642,9 @@ class QueryService:
         the request's share of the group's parse + spec acquisition),
         and each duration feeds the service's latency histogram —
         exactly one observation per request, so the histogram count
-        reconciles with the ``requests`` counter.
+        reconciles with the ``requests`` counter.  An unexpected
+        exception answers its group's unanswered requests ``ok=False``
+        (``internal error: ...``); the other groups still answer.
         """
         with self._counters_lock:
             self._counters.requests += len(requests)
@@ -648,75 +661,109 @@ class QueryService:
         groups: dict[str, list[int]] = {}
         for index, request in enumerate(requests):
             groups.setdefault(request.program, []).append(index)
-        for program, indexes in groups.items():
-            parse_span = self.telemetry.span("parse", parent=root)
+        for indexes in groups.values():
+            started = time.monotonic()
             try:
-                tdd, key, cost = self._resolve_program(program)
-            except ReproError as exc:
-                parse_span.set_attribute("error", str(exc))
-                parse_ms = parse_span.end()
-                with self._counters_lock:
-                    self._counters.errors += len(indexes)
-                for index in indexes:
-                    responses[index] = QueryResponse(
-                        ok=False, kind=requests[index].kind,
-                        error=f"program parse error: {exc}",
-                        duration_ms=parse_ms,
-                        trace_id=root.trace_id)
-                    self.latency.observe(parse_ms)
-                continue
-            parse_span.set_attribute("key", key[:12])
-            parse_ms = parse_span.end()
-            if cost is not None and cost > self.max_predicted_cost:
-                with self._counters_lock:
-                    self._counters.refused += len(indexes)
-                for index in indexes:
-                    responses[index] = QueryResponse(
-                        ok=False, kind=requests[index].kind,
-                        key=key, refused=True,
-                        error=(f"admission control: predicted "
-                               f"evaluation cost {cost:.1f} exceeds "
-                               f"max_predicted_cost="
-                               f"{self.max_predicted_cost:g}"),
-                        duration_ms=parse_ms,
-                        trace_id=root.trace_id)
-                    self.latency.observe(parse_ms)
-                continue
-            deadlines = [requests[i].deadline for i in indexes]
-            if any(d is None for d in deadlines):
-                deadline = self.default_deadline
-            else:
-                deadline = max(d for d in deadlines if d is not None)
-            # A group shares one spec computation; when any request in
-            # it names an engine, that engine runs it (the spec itself
-            # is engine-independent, so sharing stays sound).
-            overrides = [requests[i].engine for i in indexes
-                         if requests[i].engine is not None]
-            engine = (canonical_window_engine(overrides[0])
-                      if overrides else self.engine)
-            spec: Union[RelationalSpec, None] = None
-            source: Union[str, None] = None
-            spec_error: Union[EvaluationError, None] = None
-            acquire_start = time.monotonic()
-            try:
-                spec, source = self.specification(tdd, deadline,
-                                                  key=key, parent=root,
-                                                  engine=engine)
-            except EvaluationError as exc:
-                spec_error = exc
-            overhead_ms = (parse_ms
-                           + (time.monotonic() - acquire_start) * 1e3)
-            for index in indexes:
-                response = self._serve_parsed(
-                    tdd, spec, source, key, requests[index],
-                    spec_error, parent=root)
-                response.duration_ms = overhead_ms + response.elapsed_ms
-                response.trace_id = root.trace_id
-                self.latency.observe(response.duration_ms)
-                responses[index] = response
+                self._serve_group(requests, indexes, responses, root)
+            except Exception as exc:
+                self._fail_group(requests, indexes, responses, root,
+                                 exc, started)
         if own_root:
             root.end()
         return [r for r in responses if r is not None]
+
+    def _serve_group(self, requests: Sequence[QueryRequest],
+                     indexes: list[int],
+                     responses: list[Union[QueryResponse, None]],
+                     root: Span) -> None:
+        """Answer one program group of a batch into ``responses``."""
+        program = requests[indexes[0]].program
+        parse_span = self.telemetry.span("parse", parent=root)
+        try:
+            tdd, key, cost = self._resolve_program(program)
+        except ReproError as exc:
+            parse_span.set_attribute("error", str(exc))
+            parse_ms = parse_span.end()
+            with self._counters_lock:
+                self._counters.errors += len(indexes)
+            for index in indexes:
+                responses[index] = QueryResponse(
+                    ok=False, kind=requests[index].kind,
+                    error=f"program parse error: {exc}",
+                    duration_ms=parse_ms,
+                    trace_id=root.trace_id)
+                self.latency.observe(parse_ms)
+            return
+        parse_span.set_attribute("key", key[:12])
+        parse_ms = parse_span.end()
+        if cost is not None and cost > self.max_predicted_cost:
+            with self._counters_lock:
+                self._counters.refused += len(indexes)
+            for index in indexes:
+                responses[index] = QueryResponse(
+                    ok=False, kind=requests[index].kind,
+                    key=key, refused=True,
+                    error=(f"admission control: predicted "
+                           f"evaluation cost {cost:.1f} exceeds "
+                           f"max_predicted_cost="
+                           f"{self.max_predicted_cost:g}"),
+                    duration_ms=parse_ms,
+                    trace_id=root.trace_id)
+                self.latency.observe(parse_ms)
+            return
+        deadlines = [requests[i].deadline for i in indexes]
+        if any(d is None for d in deadlines):
+            deadline = self.default_deadline
+        else:
+            deadline = max(d for d in deadlines if d is not None)
+        # A group shares one spec computation; when any request in
+        # it names an engine, that engine runs it (the spec itself
+        # is engine-independent, so sharing stays sound).
+        overrides = [requests[i].engine for i in indexes
+                     if requests[i].engine is not None]
+        engine = (canonical_window_engine(overrides[0])
+                  if overrides else self.engine)
+        spec: Union[RelationalSpec, None] = None
+        source: Union[str, None] = None
+        spec_error: Union[EvaluationError, None] = None
+        acquire_start = time.monotonic()
+        try:
+            spec, source = self.specification(tdd, deadline,
+                                              key=key, parent=root,
+                                              engine=engine)
+        except EvaluationError as exc:
+            spec_error = exc
+        overhead_ms = (parse_ms
+                       + (time.monotonic() - acquire_start) * 1e3)
+        for index in indexes:
+            response = self._serve_parsed(
+                tdd, spec, source, key, requests[index],
+                spec_error, parent=root)
+            response.duration_ms = overhead_ms + response.elapsed_ms
+            response.trace_id = root.trace_id
+            self.latency.observe(response.duration_ms)
+            responses[index] = response
+
+    def _fail_group(self, requests: Sequence[QueryRequest],
+                    indexes: list[int],
+                    responses: list[Union[QueryResponse, None]],
+                    root: Span, exc: Exception, started: float) -> None:
+        """Answer a group's unanswered requests after an unexpected
+        exception: ``ok=False``, counted as errors and observed once
+        each, so the fault costs no dropped connection or retry.  The
+        traceback goes to standard error."""
+        import traceback  # only on this path, off the import closure
+        traceback.print_exception(exc)
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        elapsed_ms = (time.monotonic() - started) * 1e3
+        pending = [index for index in indexes if responses[index] is None]
+        with self._counters_lock:
+            self._counters.errors += len(pending)
+        for index in pending:
+            responses[index] = QueryResponse(
+                ok=False, kind=requests[index].kind, error=error,
+                duration_ms=elapsed_ms, trace_id=root.trace_id)
+            self.latency.observe(elapsed_ms)
 
     # -- stats -------------------------------------------------------------
 

@@ -43,8 +43,7 @@ from ..engines import window_fixpoint
 from ..lang.atoms import Atom, Fact
 from ..lang.errors import DeadlineExceeded, EvaluationError
 from ..lang.rules import Rule, validate_rules
-from ..obs.stats import EvalStats
-from ..obs.timing import phase_timer
+from ..obs.stats import EvalStats, phase_timer
 from .database import TemporalDatabase
 from .operator import step
 from .stratified import is_definite, stratified_fixpoint
@@ -55,8 +54,7 @@ from .store import TemporalStore
 
 
 def evaluate_window(rules: Sequence[Rule], database: TemporalStore,
-                    horizon: int, stats=None,
-                    tracer=None, metrics=None,
+                    horizon: int, stats=None, metrics=None,
                     engine: str = "seminaive",
                     provenance=None) -> TemporalStore:
     """The window model: truncated least fixpoint, or — for rules with
@@ -67,11 +65,9 @@ def evaluate_window(rules: Sequence[Rule], database: TemporalStore,
     ``provenance`` records support edges for every derived fact."""
     fixpoint_fn = window_fixpoint(engine)
     if is_definite(rules):
-        return fixpoint_fn(rules, database, horizon,
-                           stats=stats, tracer=tracer,
+        return fixpoint_fn(rules, database, horizon, stats=stats,
                            metrics=metrics, provenance=provenance)
-    return stratified_fixpoint(rules, database, horizon,
-                               stats=stats, tracer=tracer,
+    return stratified_fixpoint(rules, database, horizon, stats=stats,
                                metrics=metrics, fixpoint_fn=fixpoint_fn,
                                provenance=provenance)
 
@@ -120,7 +116,7 @@ class BTResult:
 
 def bt_verbatim(rules: Sequence[Rule], database: TemporalDatabase,
                 window: int, stats: Union[EvalStats, None] = None,
-                tracer=None, metrics=None) -> BTResult:
+                metrics=None) -> BTResult:
     """Algorithm BT exactly as printed in Figure 1 of the paper.
 
     ``window`` is the paper's ``m``.  Returns the converged ``L`` (no
@@ -140,9 +136,8 @@ def bt_verbatim(rules: Sequence[Rule], database: TemporalDatabase,
         stats.engine = "bt_verbatim"
         stats.horizon = window
         stats.extra["initial_facts"] = size
-    if tracer is not None:
-        tracer.emit("eval_start", engine="bt_verbatim", horizon=window,
-                    rules=len(proper_rules), initial_facts=size)
+        stats.emit("eval_start", engine="bt_verbatim", horizon=window,
+                   rules=len(proper_rules), initial_facts=size)
     while True:
         rounds += 1
         truncated = current.truncate(window)           # L := L'(0...m)
@@ -151,20 +146,16 @@ def bt_verbatim(rules: Sequence[Rule], database: TemporalDatabase,
         same_segment = (truncated.segment(0, window)
                         == nxt.segment(0, window))
         same_nt = truncated.nt == nxt.nt
-        if stats is not None or tracer is not None:
+        if stats is not None:
             new_size = len(nxt.truncate(window))
             derived = max(new_size - size, 0)
             size = max(new_size, size)
-            if stats is not None:
-                stats.record_round(derived=derived)
-            if tracer is not None:
-                tracer.emit("round", round=rounds, derived=derived,
-                            store=new_size)
+            stats.record_round(derived, round=rounds, store=new_size)
         if same_segment and same_nt:
-            if tracer is not None:
-                tracer.emit("eval_end", facts=len(truncated))
-            if metrics is not None and stats is not None:
-                metrics.export_into(stats)
+            if stats is not None:
+                stats.emit("eval_end", facts=len(truncated))
+                if metrics is not None:
+                    metrics.export_into(stats)
             return BTResult(store=truncated, horizon=window,
                             c=database.c, g=1, period=None,
                             rounds=rounds, stats=stats)
@@ -177,17 +168,16 @@ def _initial_window(c: int, g: int, query_depth: int) -> int:
 
 def _bt_result(store: TemporalStore, horizon: int, c: int, g: int,
                period: Union[Period, None],
-               stats: Union[EvalStats, None], tracer) -> BTResult:
+               stats: Union[EvalStats, None]) -> BTResult:
     """Finalize a BT run: fold the outcome into the observability layer."""
     if stats is not None:
         stats.horizon = horizon
-        if period is not None:
-            stats.period = (period.b, period.p)
         if stats.engine in ("", "seminaive"):
             stats.engine = "bt"
-    if tracer is not None and period is not None:
-        tracer.emit("period", b=period.b, p=period.p,
-                    certified=period.certified, horizon=horizon)
+        if period is not None:
+            stats.period = (period.b, period.p)
+            stats.emit("period", b=period.b, p=period.p,
+                       certified=period.certified, horizon=horizon)
     return BTResult(store=store, horizon=horizon, c=c, g=g,
                     period=period, stats=stats)
 
@@ -199,7 +189,7 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 max_window: int = 1 << 20,
                 evidence: int = 2,
                 stats: Union[EvalStats, None] = None,
-                tracer=None, metrics=None,
+                metrics=None,
                 engine: str = "seminaive",
                 provenance=None,
                 deadline: Union[float, None] = None) -> BTResult:
@@ -232,12 +222,11 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
 
     if window is not None or range_bound is not None:
         m = window if window is not None else max(c, query_depth) + range_bound
-        with phase_timer(stats, "evaluate", tracer):
-            store = evaluate_window(rules, database, m,
-                                    stats=stats, tracer=tracer,
+        with phase_timer(stats, "evaluate"):
+            store = evaluate_window(rules, database, m, stats=stats,
                                     metrics=metrics, engine=engine,
                                     provenance=provenance)
-        with phase_timer(stats, "period_detection", tracer):
+        with phase_timer(stats, "period_detection"):
             states = store.states(0, m)
             found = find_minimal_period(states, floor=0, g=g,
                                         evidence=evidence)
@@ -257,7 +246,7 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 b, p = recurred
                 period = Period(b, p, certified=True,
                                 verified_horizon=m)
-        return _bt_result(store, m, c, g, period, stats, tracer)
+        return _bt_result(store, m, c, g, period, stats)
 
     m = _initial_window(c, g, query_depth)
     # (candidate (b, p), the trusted state sequence it was found in).
@@ -271,16 +260,15 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
             # edges from the narrower run would reference facts the
             # wider model may support differently.
             provenance.reset()
-        with phase_timer(stats, "evaluate", tracer):
-            store = evaluate_window(rules, database, m,
-                                    stats=stats, tracer=tracer,
+        with phase_timer(stats, "evaluate"):
+            store = evaluate_window(rules, database, m, stats=stats,
                                     metrics=metrics, engine=engine,
                                     provenance=provenance)
         # For non-forward rulesets the right edge of the window is
         # under-derived (facts there lack support from beyond the
         # window), so periods are detected on a trusted sub-window only.
         trusted = m if lookback is not None else max((3 * m) // 4, 1)
-        with phase_timer(stats, "period_detection", tracer):
+        with phase_timer(stats, "period_detection"):
             states = store.states(0, trusted)
             found = find_minimal_period(states, floor=0, g=g,
                                         evidence=evidence)
@@ -293,7 +281,7 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 # database horizon certifies the period for the infinite
                 # least model.
                 period = Period(b, p, certified=True, verified_horizon=m)
-                return _bt_result(store, m, c, g, period, stats, tracer)
+                return _bt_result(store, m, c, g, period, stats)
             if (previous is not None and previous[0] == found
                     and states[:len(previous[1])] == previous[1]):
                 # Same minimal period at two consecutive horizons (the
@@ -304,7 +292,7 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 # region so direct lookups never see the polluted edge.
                 period = Period(b, p, certified=False, verified_horizon=m)
                 return _bt_result(store.truncate(trusted), trusted,
-                                  c, g, period, stats, tracer)
+                                  c, g, period, stats)
             previous = (found, states)
         else:
             previous = None

@@ -50,7 +50,7 @@ class IncrementalModel:
     def __init__(self, rules: Sequence[Rule],
                  database: Union[TemporalDatabase, Iterable[Fact]] = (),
                  max_window: int = 1 << 20,
-                 stats=None, tracer=None, metrics=None):
+                 stats=None, metrics=None):
         validate_rules(rules)
         self.rules = tuple(r for r in rules if not r.is_fact)
         if not isinstance(database, TemporalDatabase):
@@ -62,12 +62,10 @@ class IncrementalModel:
         self._g = max(self._g, 1)
         self._lookback = forward_lookback(self.rules)
         self.eval_stats = stats
-        self.tracer = tracer
         self.metrics = metrics
         self._result = bt_evaluate(self.rules, database,
                                    max_window=max_window,
-                                   stats=stats, tracer=tracer,
-                                   metrics=metrics)
+                                   stats=stats, metrics=metrics)
         if stats is not None:
             stats.engine = "incremental"
         self.stats = {"inserts": 0, "deletes": 0, "incremental": 0,
@@ -107,16 +105,15 @@ class IncrementalModel:
                    and fact.time > self._result.horizon
                    for fact in facts)
         )
-        if self.tracer is not None:
-            self.tracer.emit("insert", facts=len(facts),
-                             path="recompute" if recompute
-                             else "incremental")
+        if self.eval_stats is not None:
+            self.eval_stats.emit("insert", facts=len(facts),
+                                 path="recompute" if recompute
+                                 else "incremental")
         if recompute:
             self.stats["recomputed"] += 1
             self._result = bt_evaluate(self.rules, self.database,
                                        max_window=self.max_window,
                                        stats=self.eval_stats,
-                                       tracer=self.tracer,
                                        metrics=self.metrics)
             self._note_paths()
             return
@@ -130,7 +127,6 @@ class IncrementalModel:
         added = continue_fixpoint(self.rules, store, delta,
                                   self._result.horizon,
                                   stats=self.eval_stats,
-                                  tracer=self.tracer,
                                   metrics=self.metrics)
         self.stats["facts_added"] += added + len(delta)
         self._note_paths()
@@ -152,14 +148,13 @@ class IncrementalModel:
         self.stats.setdefault("deletes", 0)
         self.stats["deletes"] += 1
 
-        if self.tracer is not None:
-            self.tracer.emit("delete", facts=len(removed))
+        if self.eval_stats is not None:
+            self.eval_stats.emit("delete", facts=len(removed))
         if not self._definite or self._lookback is None:
             self.stats["recomputed"] += 1
             self._result = bt_evaluate(self.rules, self.database,
                                        max_window=self.max_window,
                                        stats=self.eval_stats,
-                                       tracer=self.tracer,
                                        metrics=self.metrics)
             self._note_paths()
             return
@@ -212,8 +207,7 @@ class IncrementalModel:
                     if store.add(pred, time, args):
                         delta.add(pred, time, args)
         continue_fixpoint(self.rules, store, delta, horizon,
-                          stats=self.eval_stats, tracer=self.tracer,
-                          metrics=self.metrics)
+                          stats=self.eval_stats, metrics=self.metrics)
         self._note_paths()
         self._refresh_period()
 
@@ -263,6 +257,5 @@ class IncrementalModel:
         for fact in store.nt.facts():
             delta.add_fact(fact)
         continue_fixpoint(self.rules, store, delta, new_horizon,
-                          stats=self.eval_stats, tracer=self.tracer,
-                          metrics=self.metrics)
+                          stats=self.eval_stats, metrics=self.metrics)
         self._result.horizon = new_horizon

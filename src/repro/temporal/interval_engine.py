@@ -246,7 +246,7 @@ def _bound_args(atom: Atom, binding: dict) -> ArgTuple:
 
 def interval_fixpoint(rules: Sequence[Rule], database: TemporalDatabase,
                       horizon: int, stats=None,
-                      tracer=None, metrics=None) -> TemporalStore:
+                      metrics=None) -> TemporalStore:
     """The window least fixpoint, computed with interval algebra.
 
     Equals ``fixpoint(rules, database, horizon)`` exactly; use when the
@@ -259,9 +259,8 @@ def interval_fixpoint(rules: Sequence[Rule], database: TemporalDatabase,
         stats.engine = "interval"
         stats.horizon = (horizon if stats.horizon is None
                          else max(stats.horizon, horizon))
-    if tracer is not None:
-        tracer.emit("eval_start", engine="interval", horizon=horizon,
-                    rules=len(proper))
+        stats.emit("eval_start", engine="interval", horizon=horizon,
+                   rules=len(proper))
 
     store = IntervalStore()
     by_tuple: dict[tuple[str, ArgTuple], list[int]] = {}
@@ -308,13 +307,11 @@ def interval_fixpoint(rules: Sequence[Rule], database: TemporalDatabase,
                 rm.seconds += perf_counter() - rule_t0
                 rm.end_round()
         if stats is not None:
-            stats.record_round(derived=merges)
-        if tracer is not None:
-            tracer.emit("round", round=round_no, merges=merges)
-    if tracer is not None:
-        tracer.emit("eval_end")
-    if metrics is not None and stats is not None:
-        metrics.export_into(stats)
+            stats.record_round(merges, round=round_no, merges=merges)
+    if stats is not None:
+        stats.emit("eval_end")
+        if metrics is not None:
+            metrics.export_into(stats)
     return store.to_store()
 
 
@@ -326,7 +323,7 @@ def _fire_rule(rule: Rule, store: IntervalStore, horizon: int,
     ``rm`` is the rule's :class:`~repro.obs.metrics.RuleMetrics` record;
     a firing here is a binding whose head interval set is non-empty, and
     one merge that grows the store counts as one new fact (the engine's
-    unit of derivation, mirroring ``record_round(derived=merges)``).
+    unit of derivation, mirroring ``record_round(merges, ...)``).
     """
     head = rule.head
     grew = 0
@@ -383,10 +380,3 @@ def _fire_rule(rule: Rule, store: IntervalStore, horizon: int,
             rm.duplicates += 1
     return grew
 
-
-def interval_bt(rules: Sequence[Rule], database: TemporalDatabase,
-                horizon: int, stats=None, tracer=None,
-                metrics=None) -> TemporalStore:
-    """Alias of :func:`interval_fixpoint` (naming symmetry with bt)."""
-    return interval_fixpoint(rules, database, horizon, stats=stats,
-                             tracer=tracer, metrics=metrics)

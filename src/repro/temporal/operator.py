@@ -214,7 +214,7 @@ def step(rules: Sequence[Rule], store: TemporalStore,
 def fixpoint(rules: Sequence[Rule], database: TemporalStore,
              horizon: int,
              max_facts: Union[int, None] = None,
-             stats=None, tracer=None, metrics=None,
+             stats=None, metrics=None,
              provenance=None) -> TemporalStore:
     """Least fixpoint of the window-truncated operator, semi-naively.
 
@@ -255,25 +255,23 @@ def fixpoint(rules: Sequence[Rule], database: TemporalStore,
                          else max(stats.horizon, horizon))
         stats.extra["initial_facts"] = (
             stats.extra.get("initial_facts", 0) + len(store))
-    if tracer is not None:
-        tracer.emit("eval_start", engine=stats.engine if stats else
-                    "seminaive", horizon=horizon,
-                    rules=sum(1 for r in rules if not r.is_fact),
-                    initial_facts=len(store))
+        stats.emit("eval_start", engine=stats.engine, horizon=horizon,
+                   rules=sum(1 for r in rules if not r.is_fact),
+                   initial_facts=len(store))
     continue_fixpoint(rules, store, delta, horizon,
-                      max_facts=max_facts, stats=stats, tracer=tracer,
+                      max_facts=max_facts, stats=stats,
                       metrics=metrics, provenance=provenance)
-    if tracer is not None:
-        tracer.emit("eval_end", facts=len(store))
-    if provenance is not None and stats is not None:
-        provenance.export_into(stats)
+    if stats is not None:
+        stats.emit("eval_end", facts=len(store))
+        if provenance is not None:
+            provenance.export_into(stats)
     return store
 
 
 def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
                       delta: TemporalStore, horizon: int,
                       max_facts: Union[int, None] = None,
-                      stats=None, tracer=None, metrics=None,
+                      stats=None, metrics=None,
                       provenance=None) -> int:
     """Drive the semi-naive loop from an initial ``delta``, in place.
 
@@ -353,15 +351,14 @@ def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
                 f"window (currently {len(store)} facts)"
             )
         if stats is not None:
-            stats.record_round(derived=len(new_delta), delta=len(delta))
+            stats.record_round(len(new_delta), len(delta),
+                               round=round_no, probes=probes,
+                               store=len(store))
             stats.join_probes += probes
-        if tracer is not None:
-            tracer.emit("round", round=round_no,
-                        delta=len(delta), derived=len(new_delta),
-                        probes=probes, store=len(store))
-            for fact in new_delta.facts():
-                tracer.emit("fact", pred=fact.pred, time=fact.time,
-                            args=list(fact.args))
+            if stats.tracer is not None:
+                for fact in new_delta.facts():
+                    stats.emit("fact", pred=fact.pred, time=fact.time,
+                               args=list(fact.args))
         delta = new_delta
     if stats is not None:
         store.stats = prev_stats

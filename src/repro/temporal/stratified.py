@@ -41,8 +41,7 @@ def is_definite(rules: Sequence[Rule]) -> bool:
 
 
 def stratified_fixpoint(rules: Sequence[Rule], database: TemporalStore,
-                        horizon: int, stats=None,
-                        tracer=None, metrics=None,
+                        horizon: int, stats=None, metrics=None,
                         fixpoint_fn=None,
                         provenance=None) -> TemporalStore:
     """The perfect model of a stratified program, within a window.
@@ -76,6 +75,5 @@ def stratified_fixpoint(rules: Sequence[Rule], database: TemporalStore,
     run = fixpoint if fixpoint_fn is None else fixpoint_fn
     for group in groups:
         store = run(group, store, horizon, stats=stats,
-                    tracer=tracer, metrics=metrics,
-                    provenance=provenance)
+                    metrics=metrics, provenance=provenance)
     return store

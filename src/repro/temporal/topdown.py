@@ -82,7 +82,7 @@ class TopDownEngine:
 
     def __init__(self, rules: Sequence[Rule],
                  database: TemporalDatabase, horizon: int,
-                 stats=None, tracer=None, metrics=None):
+                 stats=None, metrics=None):
         validate_rules(rules)
         proper = [r for r in rules if not r.is_fact]
         if any(not r.is_definite for r in proper):
@@ -100,7 +100,6 @@ class TopDownEngine:
         self._tables: dict[CallPattern, _Table] = {}
         self.stats = {"subgoals": 0, "sweeps": 0, "answers": 0}
         self.eval_stats = stats
-        self.tracer = tracer
         self.metrics = metrics
         if stats is not None:
             stats.engine = "topdown"
@@ -139,9 +138,9 @@ class TopDownEngine:
             self._tables[pattern] = table
             self.stats["subgoals"] += 1
             self._seed_extensional(pattern, table)
-            if self.tracer is not None:
+            if self.eval_stats is not None:
                 pred, time_slot, args = pattern
-                self.tracer.emit(
+                self.eval_stats.emit(
                     "subgoal", pred=pred,
                     time="free" if time_slot is FREE else time_slot,
                     args=["free" if a is FREE else a for a in args],
@@ -196,14 +195,11 @@ class TopDownEngine:
                     rm.end_round()
             derived = self.stats["answers"] - answers_before
             if self.eval_stats is not None:
-                self.eval_stats.record_round(derived=derived)
+                self.eval_stats.record_round(
+                    derived, round=self.stats["sweeps"],
+                    subgoals=len(self._tables))
                 self.eval_stats.extra["subgoals"] = \
                     self.stats["subgoals"]
-            if self.tracer is not None:
-                self.tracer.emit("round",
-                                 round=self.stats["sweeps"],
-                                 derived=derived,
-                                 subgoals=len(self._tables))
             # A sweep that registered new subgoal tables must be
             # followed by another even if no answer was produced yet.
             if not changed and len(self._tables) == tables_before:
@@ -303,7 +299,7 @@ class TopDownEngine:
 def topdown_ask(rules: Sequence[Rule], database: TemporalDatabase,
                 goal: Union[Fact, Atom],
                 horizon: Union[int, None] = None,
-                stats=None, tracer=None, metrics=None) -> bool:
+                stats=None, metrics=None) -> bool:
     """One-shot goal-directed ground query via tabled top-down
     resolution.  ``horizon`` defaults to the goal's timepoint plus one
     rule depth (exact for forward programs, whose derivations never
@@ -315,5 +311,5 @@ def topdown_ask(rules: Sequence[Rule], database: TemporalDatabase,
         query_depth = goal.time if goal.time is not None else 0
         horizon = max(query_depth, database.c) + g
     engine = TopDownEngine(rules, database, horizon, stats=stats,
-                           tracer=tracer, metrics=metrics)
+                           metrics=metrics)
     return engine.ask(goal)

@@ -5,10 +5,18 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
+from repro.core.magic import magic_ask
+from repro.datalog import naive_evaluate, seminaive_evaluate
 from repro.lang import parse_program
-from repro.obs import (EvalStats, JsonLinesSink, ListSink, Stopwatch,
-                       Tracer, phase_timer)
-from repro.temporal import TemporalDatabase, bt_evaluate, fixpoint
+from repro.lang.atoms import Fact
+from repro.obs import (EvalStats, JsonLinesSink, ListSink, Tracer,
+                       phase_timer)
+from repro.temporal import (TemporalDatabase, bt_evaluate, bt_verbatim,
+                            fixpoint, topdown_ask)
+from repro.temporal.incremental import IncrementalModel
+from repro.temporal.interval_engine import interval_fixpoint
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +103,39 @@ class TestEvalStats:
         assert "(+84 more)" in text
         assert "99" not in text
 
+    def test_record_round_writes_the_round_event(self):
+        sink = ListSink()
+        stats = EvalStats(tracer=Tracer(sink))
+        stats.record_round(3, 5, round=1, probes=7, store=9)
+        stats.record_round(0, round=2, subgoals=4)
+        stats.record_round(2, round=3, merges=2)
+        assert [{k: v for k, v in e.items() if k != "ts"}
+                for e in sink.events] == [
+            {"event": "round", "round": 1, "delta": 5, "derived": 3,
+             "probes": 7, "store": 9},
+            {"event": "round", "round": 2, "derived": 0, "subgoals": 4},
+            # The interval engine's merges name its derived count.
+            {"event": "round", "round": 3, "merges": 2},
+        ]
+        assert stats.facts_per_round == [3, 0, 2]
+
+    def test_emit_without_tracer_is_a_noop(self):
+        stats = EvalStats()
+        stats.emit("eval_start", engine="bt")
+        stats.add_phase("evaluate", 0.5)
+        assert stats.phase_seconds == {"evaluate": 0.5}
+
+    def test_tracer_is_not_serialized_merged_or_compared(self):
+        sink = ListSink()
+        traced = EvalStats(engine="bt", tracer=Tracer(sink))
+        assert traced == EvalStats(engine="bt")
+        assert "tracer" not in traced.to_dict()
+        assert EvalStats.from_json(traced.to_json()).tracer is None
+        traced.merge(EvalStats(phase_seconds={"evaluate": 1.0},
+                               tracer=Tracer(ListSink())))
+        assert traced.phase_seconds == {"evaluate": 1.0}
+        assert sink.events == []
+
 
 # ---------------------------------------------------------------------------
 # Tracer and sinks
@@ -166,21 +207,16 @@ class TestTiming:
 
     def test_phase_timer_emits_event(self):
         sink = ListSink()
-        tracer = Tracer(sink)
-        with phase_timer(None, "rewrite", tracer):
+        stats = EvalStats(tracer=Tracer(sink))
+        with phase_timer(stats, "rewrite"):
             pass
         assert sink.events[0]["event"] == "phase"
         assert sink.events[0]["name"] == "rewrite"
+        assert "rewrite" in stats.phase_seconds
 
     def test_phase_timer_none_is_noop(self):
         with phase_timer(None, "anything"):
             pass
-
-    def test_stopwatch(self):
-        watch = Stopwatch()
-        assert watch.elapsed >= 0.0
-        watch.restart()
-        assert watch.elapsed >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +235,8 @@ class TestDisabledInstrumentation:
         db = TemporalDatabase(program.facts)
         plain = fixpoint(program.rules, db, 20)
         sink = ListSink()
-        stats = EvalStats()
-        traced = fixpoint(program.rules, db, 20, stats=stats,
-                          tracer=Tracer(sink))
+        stats = EvalStats(tracer=Tracer(sink))
+        traced = fixpoint(program.rules, db, 20, stats=stats)
         assert plain == traced
         assert stats.rounds > 0
         assert sink.events
@@ -236,7 +271,7 @@ class TestDisabledInstrumentation:
         program = parse_program(EVEN)
         sink = ListSink()
         bt_evaluate(program.rules, TemporalDatabase(program.facts),
-                    tracer=Tracer(sink))
+                    stats=EvalStats(tracer=Tracer(sink)))
         kinds = {e["event"] for e in sink.events}
         assert {"eval_start", "round", "eval_end",
                 "phase", "period"} <= kinds
@@ -246,3 +281,159 @@ class TestDisabledInstrumentation:
         assert all(isinstance(e["round"], int) for e in rounds)
         period = [e for e in sink.events if e["event"] == "period"][-1]
         assert period["b"] >= 0 and period["p"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Each engine's trace stream, pinned
+# ---------------------------------------------------------------------------
+
+STRATIFIED = """
+on(T+3, X) :- on(T, X), who(X).
+off(T+6, X) :- off(T, X), who(X).
+up(T, X) :- on(T, X), not off(T, X).
+who(a). who(b). on(0, a). on(1, b). off(1, b).
+"""
+
+# Not recursive: semi-naive round 0 adds facts to the store it joins
+# against, so a recursive rule's round count would follow set order.
+HOPS = """
+hop(X, Y) :- edge(X, Y).
+hop2(X, Z) :- hop(X, Y), edge(Y, Z).
+edge(a, b). edge(b, c). edge(c, d).
+"""
+
+_WINDOW_RUN = {"eval_start": ("engine", "horizon", "initial_facts",
+                              "rules"),
+               "eval_end": ("facts",),
+               "fact": ("args", "pred", "time")}
+_SEMINAIVE_ROUND = ("delta", "derived", "probes", "round", "store")
+_BT_RUN = dict(_WINDOW_RUN, phase=("name", "seconds"),
+               period=("b", "certified", "horizon", "p"),
+               round=_SEMINAIVE_ROUND)
+
+
+def _even(*times):
+    return TemporalDatabase([Fact("even", t, ()) for t in times])
+
+
+def _incremental_insert(stats):
+    program = parse_program(EVEN)
+    model = IncrementalModel(program.rules, _even(0), stats=stats)
+    model.insert(Fact("even", 3, ()))
+
+
+def _incremental_delete(stats):
+    program = parse_program(EVEN)
+    model = IncrementalModel(program.rules, _even(0, 4), stats=stats)
+    model.delete(Fact("even", 4, ()))
+
+
+def _run(program, engine):
+    parsed = parse_program(program)
+    return lambda stats: engine(parsed, stats)
+
+
+#: case -> (run(stats), {kind: count}, {kind: payload keys},
+#: round-number runs as (first, last) pairs, eval_start engines).
+TRACE_CASES = {
+    "bt_seminaive": (
+        _run(EVEN, lambda p, s: bt_evaluate(
+            p.rules, TemporalDatabase(p.facts), stats=s)),
+        {"eval_start": 1, "round": 9, "fact": 8, "eval_end": 1,
+         "phase": 2, "period": 1},
+        _BT_RUN, [(1, 9)], ["seminaive"]),
+    "bt_compiled": (
+        _run(EVEN, lambda p, s: bt_evaluate(
+            p.rules, TemporalDatabase(p.facts), stats=s,
+            engine="compiled")),
+        {"eval_start": 1, "round": 9, "fact": 8, "eval_end": 1,
+         "phase": 2, "period": 1},
+        _BT_RUN, [(1, 9)], ["compiled"]),
+    "bt_stratified": (
+        _run(STRATIFIED, lambda p, s: bt_evaluate(
+            p.rules, TemporalDatabase(p.facts), stats=s)),
+        {"eval_start": 2, "round": 11, "fact": 37, "eval_end": 2,
+         "phase": 2, "period": 1},
+        _BT_RUN, [(1, 9), (1, 2)], ["stratified", "stratified"]),
+    "bt_verbatim": (
+        _run(EVEN, lambda p, s: bt_verbatim(
+            p.rules, TemporalDatabase(p.facts), 12, stats=s)),
+        {"eval_start": 1, "round": 7, "eval_end": 1},
+        dict(_WINDOW_RUN, round=("derived", "round", "store")),
+        [(1, 7)], ["bt_verbatim"]),
+    "interval": (
+        _run(EVEN, lambda p, s: interval_fixpoint(
+            p.rules, TemporalDatabase(p.facts), 12, stats=s)),
+        {"eval_start": 1, "round": 2, "eval_end": 1},
+        {"eval_start": ("engine", "horizon", "rules"), "eval_end": (),
+         "round": ("merges", "round")},
+        [(1, 2)], ["interval"]),
+    "magic": (
+        _run(EVEN, lambda p, s: magic_ask(
+            p.rules, TemporalDatabase(p.facts), Fact("even", 10, ()),
+            stats=s)),
+        {"phase": 1, "eval_start": 1, "round": 12, "fact": 11,
+         "eval_end": 1},
+        dict(_WINDOW_RUN, phase=("name", "seconds"),
+             round=_SEMINAIVE_ROUND),
+        [(1, 12)], ["magic"]),
+    "topdown": (
+        _run(EVEN, lambda p, s: topdown_ask(
+            p.rules, TemporalDatabase(p.facts), Fact("even", 10, ()),
+            stats=s)),
+        {"subgoal": 6, "round": 10},
+        {"subgoal": ("args", "pred", "seeded", "time"),
+         "round": ("derived", "round", "subgoals")},
+        [(1, 10)], []),
+    "incremental_insert": (
+        _incremental_insert,
+        {"eval_start": 1, "round": 16, "fact": 14, "eval_end": 1,
+         "phase": 2, "period": 1, "insert": 1},
+        dict(_BT_RUN, insert=("facts", "path")),
+        [(1, 9), (1, 7)], ["seminaive"]),
+    "incremental_delete": (
+        _incremental_delete,
+        {"eval_start": 1, "round": 18, "fact": 17, "eval_end": 1,
+         "phase": 2, "period": 1, "delete": 1},
+        dict(_BT_RUN, delete=("facts",)),
+        [(1, 9), (1, 9)], ["seminaive"]),
+    "naive": (
+        _run(HOPS, lambda p, s: naive_evaluate(p.rules, p.facts,
+                                               stats=s)),
+        {"round": 3}, {"round": ("derived", "round", "store")},
+        [(1, 3)], []),
+    "seminaive": (
+        _run(HOPS, lambda p, s: seminaive_evaluate(p.rules, p.facts,
+                                                   stats=s)),
+        {"round": 2}, {"round": _SEMINAIVE_ROUND}, [(0, 1)], []),
+}
+
+
+def _round_runs(numbers):
+    runs: list[list[int]] = []
+    for n in numbers:
+        if runs and n == runs[-1][1] + 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return [tuple(r) for r in runs]
+
+
+class TestEngineTraceStreams:
+    @pytest.mark.parametrize("case", sorted(TRACE_CASES))
+    def test_trace_stream(self, case):
+        run, counts, keys, round_runs, engines = TRACE_CASES[case]
+        sink = ListSink()
+        run(EvalStats(tracer=Tracer(sink)))
+        events = sink.events
+        seen: dict[str, int] = {}
+        for event in events:
+            kind = event["event"]
+            seen[kind] = seen.get(kind, 0) + 1
+            assert tuple(sorted(set(event) - {"event", "ts"})) \
+                == keys[kind], (kind, event)
+        assert seen == counts
+        assert _round_runs(e["round"] for e in events
+                           if e["event"] == "round") == round_runs
+        assert [e["engine"] for e in events
+                if e["event"] == "eval_start"] == engines

@@ -20,7 +20,8 @@ from repro.lang.errors import DeadlineExceeded, EvaluationError
 from repro.lang.pretty import format_program
 from repro.obs import EvalStats
 from repro.serve import QueryRequest, QueryService, SpecCache
-from repro.serve.service import DEGRADED_MAX_WINDOW, PARSE_MEMO_SIZE
+from repro.serve.service import (DEGRADED_MAX_WINDOW, MAX_EXPANDED_ROWS,
+                                 PARSE_MEMO_SIZE)
 from repro.workloads import coprime_cycles_database, coprime_cycles_program
 
 EVEN = "even(T+2) :- even(T).\neven(0).\n"
@@ -253,6 +254,40 @@ class TestAnswerPayloads:
         assert payload["expanded"] == [{"X": 0}, {"X": 2}, {"X": 4},
                                        {"X": 6}, {"X": 8}]
 
+    def test_expansion_at_the_cap_answers(self, service):
+        # even(X) has one row per even timepoint: bound 2(n-1) -> n rows.
+        response = service.serve(QueryRequest(
+            program=EVEN, query="even(X)", kind="answers",
+            expand=2 * (MAX_EXPANDED_ROWS - 1)))
+        assert response.ok
+        assert len(response.answer["expanded"]) == MAX_EXPANDED_ROWS
+
+    def test_expansion_past_the_cap_is_refused(self, service):
+        response = service.serve(QueryRequest(
+            program=EVEN, query="even(X)", kind="answers",
+            expand=2 * MAX_EXPANDED_ROWS))
+        assert not response.ok
+        assert "MAX_EXPANDED_ROWS" in response.error
+        assert service.counters()["errors"] == 1
+
+    def test_astronomical_expansion_is_refused_at_once(self, service):
+        started = time.perf_counter()
+        response = service.serve(QueryRequest(
+            program=EVEN, query="even(X)", kind="answers",
+            expand=10**30))
+        assert not response.ok and "MAX_EXPANDED_ROWS" in response.error
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("bound", [-1, 0, 11, 12, 400, 1200])
+    def test_expansion_size_counts_expand(self, bound):
+        from repro.core.queries import answers, parse_query
+        tdd = TDD.from_text(TRAVEL)
+        spec = compute_specification(tdd.rules, tdd.database)
+        for text in ("plane(X, Y)", "plane(X, hunter) and holiday(Z)"):
+            result = answers(parse_query(text, tdd.temporal_preds), spec)
+            assert result.expansion_size(bound) \
+                == len(list(result.expand(bound)))
+
     def test_stats_attach_to_evalstats(self, service):
         service.serve(QueryRequest(program=EVEN, query="even(0)"))
         stats = EvalStats()
@@ -457,6 +492,48 @@ class TestAdmissionControl:
                                   query="plane(12, hunter)"))
         assert "repro_refused_total 1" in strict.prometheus_text()
         assert strict.stats_dict()["serve"]["refused"] == 1
+
+
+class TestInternalErrors:
+    """An unexpected exception costs its program group one ``ok:
+    false`` answer per request — never the batch or the connection."""
+
+    @pytest.fixture()
+    def poisoned(self, monkeypatch):
+        import repro.serve.service as service_module
+        original = service_module.evaluate
+
+        def evaluate(query, spec):
+            if "hunter" in str(query):
+                raise RuntimeError("poisoned query")
+            return original(query, spec)
+
+        monkeypatch.setattr(service_module, "evaluate", evaluate)
+
+    def test_other_groups_still_answer(self, service, poisoned):
+        responses = service.serve_batch([
+            QueryRequest(program=EVEN, query="even(0)"),
+            QueryRequest(program=TRAVEL, query="plane(12, hunter)"),
+            QueryRequest(program=EVEN, query="even(2)"),
+        ])
+        assert [r.ok for r in responses] == [True, False, True]
+        assert responses[1].error \
+            == "internal error: RuntimeError: poisoned query"
+        assert [r.answer for r in responses[::2]] == [True, True]
+        counters = service.counters()
+        assert counters["errors"] == 1
+        assert service.latency.count == counters["requests"] == 3
+
+    def test_post_gets_a_200(self, serve_endpoint, poisoned):
+        endpoint = serve_endpoint()
+        status, data = endpoint.post_json({"requests": [
+            {"program": TRAVEL, "query": "plane(12, hunter)"},
+            {"program": EVEN, "query": "even(4)"},
+        ]})
+        assert status == 200
+        bad, good = data["responses"]
+        assert bad["ok"] is False and "internal error" in bad["error"]
+        assert good["ok"] is True and good["answer"] is True
 
 
 class TestMalformedInput:
