@@ -42,7 +42,7 @@ CACHE_FIELDS = (
 SERVE_FIELDS = (
     "requests", "batches", "batched_requests", "max_batch", "asks",
     "open_queries", "degraded", "refused", "errors", "spec_computes",
-    "singleflight_waits", "explained",
+    "singleflight_waits", "explained", "parses",
 )
 
 

@@ -16,21 +16,41 @@ text: :func:`repro.lang.format_program` renders rules, sorted facts, and
 rules and facts (in any order, any whitespace) share a key, and any
 change to either part changes it.  See :func:`program_key`.
 
+Finding that key takes a parse.  A raw program text whose spec was
+stored before skips it: :meth:`SpecCache.get_text` maps the text's own
+SHA-256 (:func:`text_digest`) to the content key and the temporal
+predicates its parse produced, and the keyed lookup goes on from there.
+A text row records what one parser made of those bytes, so any change
+to what some text parses to — its content key, its temporal predicates,
+or whether it parses at all — bumps
+:data:`repro.core.serialize.FORMAT_VERSION`.
+
 Storage
 -------
 
 Two layers, checked in order:
 
-* an in-process LRU dictionary (``memory_size`` entries, thread-safe);
-* a SQLite table ``specs(key, format, created, payload)`` living beside
-  the fact store of :mod:`repro.storage.sqlite_store` (``path=None``
-  keeps the cache purely in-memory).
+* in-process LRU dictionaries (``memory_size`` entries each,
+  thread-safe): content key → spec, and text digest → (content key,
+  temporal predicates);
+* a SQLite file (``path=None`` keeps the cache purely in-memory) with a
+  table ``specs(key, format, created, payload)`` and a table
+  ``texts(digest, key, format, temporal)`` holding one row per raw
+  program text a spec was stored or found for.  :meth:`SpecCache.put`
+  writes a spec row and its text row in one transaction.
+
+Every operation opens its own connection and closes it, so no lock
+outlives an operation.  The schema script runs on a cache's first
+connection, and again on the next one after any SQLite error, so a
+cache file removed or replaced while in use gets its tables back.
 
 Payloads are the JSON of :func:`repro.core.serialize.spec_to_dict`.  A
 row whose payload fails to decode, or whose ``format`` does not match
 the current :data:`repro.core.serialize.FORMAT_VERSION`, is treated as a
 clean miss: the row is deleted and the spec recomputed — corruption and
-version skew can never surface as a crash or a stale answer.
+version skew can never surface as a crash or a stale answer.  A text
+row is held to the same rule: a version-skewed row, or one whose
+temporal predicates do not decode, is deleted and reads as a miss.
 """
 
 from __future__ import annotations
@@ -41,8 +61,9 @@ import sqlite3
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from ..core.serialize import FORMAT_VERSION, spec_from_dict, spec_to_dict
 from ..core.spec import RelationalSpec
@@ -65,6 +86,12 @@ CREATE TABLE IF NOT EXISTS flights (
     key TEXT PRIMARY KEY,
     owner TEXT NOT NULL,
     expires REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS texts (
+    digest TEXT PRIMARY KEY,
+    key TEXT NOT NULL,
+    format INTEGER NOT NULL,
+    temporal TEXT NOT NULL
 );
 """
 
@@ -100,6 +127,25 @@ def tdd_key(tdd) -> str:
                        tdd.temporal_preds)
 
 
+def text_digest(text: str) -> str:
+    """SHA-256 of a raw program text (hex digest), the key of its text
+    row.  Any ``str`` hashes, lone surrogates included."""
+    return hashlib.sha256(
+        text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def _decode_temporal(value) -> Union[frozenset[str], None]:
+    """A text row's temporal predicates, or None when garbled."""
+    try:
+        names = json.loads(value)
+    except (TypeError, ValueError):
+        return None
+    if not isinstance(names, list) or not all(isinstance(name, str)
+                                              for name in names):
+        return None
+    return frozenset(names)
+
+
 class SpecCache:
     """Two-layer (LRU + SQLite) specification cache, thread-safe.
 
@@ -115,7 +161,11 @@ class SpecCache:
         self.path = None if path is None else Path(path)
         self.memory_size = memory_size
         self._memory: OrderedDict[str, RelationalSpec] = OrderedDict()
+        #: text digest -> (content key, temporal predicates).
+        self._texts: OrderedDict[str, tuple[str, frozenset[str]]] = \
+            OrderedDict()
         self._lock = threading.Lock()
+        self._schema_ready = False
         self.lookups = 0
         self.mem_hits = 0
         self.disk_hits = 0
@@ -130,10 +180,35 @@ class SpecCache:
     # -- SQLite layer ----------------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
+        """A new connection to the cache file; the schema script runs
+        on the first, and on the next after a failed operation.  The
+        flag is unlocked: a thread reading it stale runs the
+        idempotent script once more, or fails one operation, which
+        clears it again."""
         assert self.path is not None
         connection = sqlite3.connect(str(self.path))
-        connection.executescript(_SCHEMA)
+        if not self._schema_ready:
+            try:
+                connection.executescript(_SCHEMA)
+            except sqlite3.Error:
+                connection.close()
+                raise
+            self._schema_ready = True
         return connection
+
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """One operation's connection, closed when it ends.  A SQLite
+        error inside makes the next connection run the schema again:
+        the file may have been removed or replaced under this cache."""
+        connection = self._connect()
+        try:
+            yield connection
+        except sqlite3.Error:
+            self._schema_ready = False
+            raise
+        finally:
+            connection.close()
 
     def _corrupt(self, parent, reason: str) -> None:
         """Count a corruption event; record a span when traced."""
@@ -146,61 +221,83 @@ class SpecCache:
         if self.path is None:
             return None
         try:
-            connection = self._connect()
+            with self._connection() as connection:
+                row = connection.execute(
+                    "SELECT format, payload FROM specs WHERE key = ?",
+                    (key,)).fetchone()
+                if row is None:
+                    return None
+                fmt, payload = row
+                if fmt != FORMAT_VERSION:
+                    # Version skew: drop the row, report a miss.
+                    connection.execute("DELETE FROM specs WHERE key = ?",
+                                       (key,))
+                    connection.commit()
+                    self._corrupt(parent, "version-skew")
+                    return None
+                try:
+                    return spec_from_dict(json.loads(payload))
+                except (ValueError, KeyError, TypeError):
+                    # Truncated or garbage payload: same treatment.
+                    connection.execute("DELETE FROM specs WHERE key = ?",
+                                       (key,))
+                    connection.commit()
+                    self._corrupt(parent, "garbage-payload")
+                    return None
         except sqlite3.Error:
             self._corrupt(parent, "sqlite-error")
+            return None
+
+    def _disk_get_text(self, digest: str) -> Union[
+            tuple[str, frozenset[str]], None]:
+        if self.path is None:
             return None
         try:
-            row = connection.execute(
-                "SELECT format, payload FROM specs WHERE key = ?",
-                (key,)).fetchone()
-            if row is None:
-                return None
-            fmt, payload = row
-            if fmt != FORMAT_VERSION:
-                # Version skew: drop the row, report a miss.
-                connection.execute("DELETE FROM specs WHERE key = ?",
-                                   (key,))
+            with self._connection() as connection:
+                row = connection.execute(
+                    "SELECT key, format, temporal FROM texts "
+                    "WHERE digest = ?", (digest,)).fetchone()
+                if row is None:
+                    return None
+                key, fmt, temporal = row
+                temporal = _decode_temporal(temporal)
+                if fmt == FORMAT_VERSION and temporal is not None:
+                    return key, temporal
+                # Another format's parse, or garbled: drop it, a miss.
+                connection.execute("DELETE FROM texts WHERE digest = ?",
+                                   (digest,))
                 connection.commit()
-                self._corrupt(parent, "version-skew")
                 return None
-            try:
-                spec = spec_from_dict(json.loads(payload))
-            except (ValueError, KeyError, TypeError):
-                # Truncated or garbage payload: same treatment.
-                connection.execute("DELETE FROM specs WHERE key = ?",
-                                   (key,))
-                connection.commit()
-                self._corrupt(parent, "garbage-payload")
-                return None
-            return spec
         except sqlite3.Error:
-            self._corrupt(parent, "sqlite-error")
             return None
-        finally:
-            connection.close()
 
-    def _disk_put(self, key: str, spec: RelationalSpec) -> None:
+    def _disk_put(self, key: str, spec: RelationalSpec,
+                  digest: Union[str, None],
+                  temporal: frozenset[str]) -> None:
         if self.path is None:
             return
         payload = json.dumps(spec_to_dict(spec))
         try:
-            connection = self._connect()
+            with self._connection() as connection:
+                connection.execute(
+                    "INSERT OR REPLACE INTO specs "
+                    "(key, format, created, payload) VALUES (?, ?, ?, ?)",
+                    (key, FORMAT_VERSION, time.time(), payload))
+                if digest is not None:
+                    self._write_text(connection, digest, key, temporal)
+                connection.commit()
         except sqlite3.Error:
             # An unusable cache file must not take query serving down;
             # the LRU layer still holds the entry for this process.
             self.corrupt += 1
-            return
-        try:
-            connection.execute(
-                "INSERT OR REPLACE INTO specs "
-                "(key, format, created, payload) VALUES (?, ?, ?, ?)",
-                (key, FORMAT_VERSION, time.time(), payload))
-            connection.commit()
-        except sqlite3.Error:
-            self.corrupt += 1
-        finally:
-            connection.close()
+
+    @staticmethod
+    def _write_text(connection: sqlite3.Connection, digest: str,
+                    key: str, temporal: frozenset[str]) -> None:
+        connection.execute(
+            "INSERT OR REPLACE INTO texts (digest, key, format, temporal) "
+            "VALUES (?, ?, ?, ?)",
+            (digest, key, FORMAT_VERSION, json.dumps(sorted(temporal))))
 
     # -- the public two-layer API ---------------------------------------
 
@@ -210,6 +307,13 @@ class SpecCache:
         while len(self._memory) > self.memory_size:
             self._memory.popitem(last=False)
             self.evictions += 1
+
+    def _remember_text(self, digest: str, key: str,
+                       temporal: frozenset[str]) -> None:
+        self._texts[digest] = (key, temporal)
+        self._texts.move_to_end(digest)
+        while len(self._texts) > self.memory_size:
+            self._texts.popitem(last=False)
 
     def get(self, key: str,
             parent=None) -> Union[RelationalSpec, None]:
@@ -252,12 +356,55 @@ class SpecCache:
             if span is not None:
                 span.end()
 
-    def put(self, key: str, spec: RelationalSpec) -> None:
-        """Store a spec in both layers."""
+    def get_text(self, digest: str) -> Union[
+            tuple[str, frozenset[str]], None]:
+        """``(content key, temporal predicates)`` that a raw program
+        text parsed to when its spec was stored or found, else None.
+
+        ``digest`` is the text's :func:`text_digest`.  Counts nothing:
+        the keyed lookup that follows counts the request.  Disk hits
+        warm the in-memory text map.
+        """
+        with self._lock:
+            entry = self._texts.get(digest)
+            if entry is None:
+                entry = self._disk_get_text(digest)
+                if entry is None:
+                    return None
+            self._remember_text(digest, *entry)
+            return entry
+
+    def put(self, key: str, spec: RelationalSpec,
+            digest: Union[str, None] = None,
+            temporal: Iterable[str] = ()) -> None:
+        """Store a spec in both layers.  With ``digest`` (the
+        :func:`text_digest` of the program text it was computed for)
+        and that text's ``temporal`` predicates, the text's row is
+        written in the same transaction."""
+        temporal = frozenset(temporal)
         with self._lock:
             self.stores += 1
             self._remember(key, spec)
-            self._disk_put(key, spec)
+            if digest is not None:
+                self._remember_text(digest, key, temporal)
+            self._disk_put(key, spec, digest, temporal)
+
+    def put_text(self, digest: str, key: str,
+                 temporal: Iterable[str]) -> None:
+        """Record that the text with ``digest`` parses to ``key`` and
+        ``temporal``: for a text first seen after its spec was cached
+        under another text of the same program."""
+        temporal = frozenset(temporal)
+        with self._lock:
+            self._remember_text(digest, key, temporal)
+            if self.path is None:
+                return
+            try:
+                with self._connection() as connection:
+                    self._write_text(connection, digest, key, temporal)
+                    connection.commit()
+            except sqlite3.Error:
+                self.corrupt += 1
 
     # -- cross-process single-flight leases ------------------------------
 
@@ -283,80 +430,74 @@ class SpecCache:
             return True
         now = time.time()
         try:
-            connection = self._connect()
+            with self._connection() as connection:
+                connection.execute("BEGIN IMMEDIATE")
+                row = connection.execute(
+                    "SELECT owner, expires FROM flights WHERE key = ?",
+                    (key,)).fetchone()
+                held = (row is not None and row[0] != owner
+                        and row[1] > now)
+                if not held:
+                    connection.execute(
+                        "INSERT OR REPLACE INTO flights "
+                        "(key, owner, expires) VALUES (?, ?, ?)",
+                        (key, owner, now + ttl))
+                connection.commit()
         except sqlite3.Error:
             return True
-        try:
-            connection.execute("BEGIN IMMEDIATE")
-            row = connection.execute(
-                "SELECT owner, expires FROM flights WHERE key = ?",
-                (key,)).fetchone()
-            if row is not None and row[0] != owner and row[1] > now:
-                connection.rollback()
-                with self._lock:
-                    self.flights_rejected += 1
-                return False
-            connection.execute(
-                "INSERT OR REPLACE INTO flights (key, owner, expires) "
-                "VALUES (?, ?, ?)", (key, owner, now + ttl))
-            connection.commit()
-            with self._lock:
+        with self._lock:
+            if held:
+                self.flights_rejected += 1
+            else:
                 self.flights_claimed += 1
-            return True
-        except sqlite3.Error:
-            return True
-        finally:
-            connection.close()
+        return not held
 
     def release_claim(self, key: str, owner: str) -> None:
         """Drop ``owner``'s flight lease on ``key`` (idempotent)."""
         if self.path is None:
             return
         try:
-            connection = self._connect()
-        except sqlite3.Error:
-            return
-        try:
-            connection.execute(
-                "DELETE FROM flights WHERE key = ? AND owner = ?",
-                (key, owner))
-            connection.commit()
+            with self._connection() as connection:
+                connection.execute(
+                    "DELETE FROM flights WHERE key = ? AND owner = ?",
+                    (key, owner))
+                connection.commit()
         except sqlite3.Error:
             pass
-        finally:
-            connection.close()
 
     def invalidate(self, key: str) -> bool:
-        """Drop one entry from both layers; True when anything was
-        present."""
+        """Drop one entry, and the text rows naming it, from both
+        layers; True when a spec was present."""
         with self._lock:
             present = self._memory.pop(key, None) is not None
+            for digest in [digest for digest, (named, _)
+                           in self._texts.items() if named == key]:
+                del self._texts[digest]
             if self.path is not None:
-                connection = self._connect()
-                try:
+                with self._connection() as connection:
                     cursor = connection.execute(
                         "DELETE FROM specs WHERE key = ?", (key,))
+                    connection.execute("DELETE FROM texts WHERE key = ?",
+                                       (key,))
                     connection.commit()
                     present = present or cursor.rowcount > 0
-                finally:
-                    connection.close()
             if present:
                 self.invalidations += 1
             return present
 
     def clear(self) -> int:
-        """Drop every entry; returns how many persistent rows died."""
+        """Drop every entry and text row; returns how many persistent
+        spec rows died."""
         with self._lock:
             self._memory.clear()
+            self._texts.clear()
             removed = 0
             if self.path is not None:
-                connection = self._connect()
-                try:
-                    cursor = connection.execute("DELETE FROM specs")
+                with self._connection() as connection:
+                    removed = connection.execute(
+                        "DELETE FROM specs").rowcount
+                    connection.execute("DELETE FROM texts")
                     connection.commit()
-                    removed = cursor.rowcount
-                finally:
-                    connection.close()
             self.invalidations += removed
             return removed
 
@@ -369,13 +510,10 @@ class SpecCache:
                 return [{"key": key, "format": FORMAT_VERSION,
                          "created": None, "bytes": None, "layer": MEMORY}
                         for key in self._memory]
-        connection = self._connect()
-        try:
+        with self._connection() as connection:
             rows = connection.execute(
                 "SELECT key, format, created, LENGTH(payload) "
                 "FROM specs ORDER BY created").fetchall()
-        finally:
-            connection.close()
         return [{"key": key, "format": fmt, "created": created,
                  "bytes": size, "layer": DISK}
                 for key, fmt, created, size in rows]

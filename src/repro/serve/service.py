@@ -8,12 +8,29 @@ relational specification from the :class:`~repro.serve.cache.SpecCache`
 requests for the same key trigger exactly one BT run — and answers the
 query on the finite object.
 
+The request path
+----------------
+
+A program text is first hashed (:func:`repro.serve.cache.text_digest`)
+and looked up as a text: when this cache stored or found a spec for
+those exact bytes before, its text row names the content key and the
+temporal predicates the parse produced.  The spec is then looked up by
+that key, as after a parse, and the whole group is answered from it
+without parsing.  Only a text miss, or a text row whose spec is gone,
+parses (memoised per raw text, :data:`PARSE_MEMO_SIZE` entries),
+derives the content key, and looks the spec up by key; the text's row
+is then written with the spec, or on its own when the spec was already
+cached under another text of the same program.  An ``explain: true``
+request still resolves the parsed program, since its proof needs the
+model.
+
 Batching
 --------
 
 :meth:`QueryService.serve_batch` groups requests by program text, so a
-batch of N queries against one TDD parses the program once, acquires the
-spec once, and canonicalises each query through the same ``W``.
+batch of N queries against one TDD looks its text up once (and parses
+it at most once), acquires the spec once, and canonicalises each query
+through the same ``W``.
 
 Deadlines and graceful degradation
 ----------------------------------
@@ -39,7 +56,13 @@ knob is *refused* up front — the response carries ``ok=False`` and
 ``refused=True``, mirroring how ``degraded`` marks the windowed
 fallback.  The estimate is computed when the program is parsed and kept
 in its parse-memo entry, so admission adds static-analysis work once
-per parse, not per request.
+per parse, not per request.  A text whose spec is already cached is
+answered without an estimate: the gate refuses spec *work*, and a
+cached spec needs none.  This service never stores a spec for a program
+it refused, so the text path cannot answer one (another process sharing
+the cache file, with a laxer gate, may store it).  An ``explain: true``
+proof does need work, a recorded BT run, so a text hit estimates the
+program's cost before it records one and gives no proof past the gate.
 """
 
 from __future__ import annotations
@@ -61,7 +84,7 @@ from ..engines import QUERY_ENGINES, canonical_window_engine
 from ..lang.errors import DeadlineExceeded, EvaluationError, ReproError
 from ..obs.telemetry import LatencyHistogram, Span, Telemetry
 from ..temporal.bt import bt_evaluate
-from .cache import SpecCache, tdd_key
+from .cache import SpecCache, tdd_key, text_digest
 
 #: Spec source tag for a cache miss filled by this service.
 COMPUTED = "computed"
@@ -127,6 +150,13 @@ class QueryRequest:
             if not isinstance(data.get(name), str):
                 raise ValueError(f"request field {name!r} must be a "
                                  "string")
+            try:
+                data[name].encode("utf-8")
+            except UnicodeEncodeError:
+                # JSON can escape a lone surrogate (\ud800) that no
+                # UTF-8 text holds; hashing or keying it would fail.
+                raise ValueError(f"request field {name!r} holds a lone "
+                                 "surrogate, which is not UTF-8") from None
         engine = data.get("engine")
         if engine is not None and engine not in QUERY_ENGINES:
             raise ValueError(
@@ -219,6 +249,8 @@ class _ServeCounters:
     spec_computes: int = 0
     singleflight_waits: int = 0
     explained: int = 0
+    #: ``TDD.from_text`` calls, failed parses included.
+    parses: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -283,6 +315,8 @@ class QueryService:
             if cached is not None:
                 self._parse_memo.move_to_end(program)
                 return cached
+        with self._counters_lock:
+            self._counters.parses += 1
         tdd = TDD.from_text(program)  # may raise ReproError; never memoised
         entry = (tdd, tdd_key(tdd),
                  None if self.max_predicted_cost is None
@@ -393,7 +427,8 @@ class QueryService:
                       deadline: Union[float, None] = None,
                       key: Union[str, None] = None,
                       parent: Union[Span, None] = None,
-                      engine: Union[str, None] = None
+                      engine: Union[str, None] = None,
+                      digest: Union[str, None] = None
                       ) -> tuple[RelationalSpec, str]:
         """The spec for a TDD, via the cache; returns (spec, source).
 
@@ -408,10 +443,24 @@ class QueryService:
         spec-compute child spans hang off; ``engine`` overrides the
         service's window engine for a miss (cache keys are engine-free:
         the spec is the same object whichever engine built it).
+        ``digest`` is the :func:`~repro.serve.cache.text_digest` of the
+        text ``tdd`` was parsed from: that text's row is stored with the
+        spec, so the text's next request skips the parse.
         """
         until = None if deadline is None else time.monotonic() + deadline
         if key is None:
             key = tdd_key(tdd)
+        spec, source = self._acquire(tdd, until, key, parent, engine,
+                                     digest)
+        if digest is not None and source != COMPUTED:
+            self.cache.put_text(digest, key, tdd.temporal_preds)
+        return spec, source
+
+    def _acquire(self, tdd: TDD, until: Union[float, None], key: str,
+                 parent: Union[Span, None], engine: Union[str, None],
+                 digest: Union[str, None]) -> tuple[RelationalSpec, str]:
+        """:meth:`specification`'s cache lookup and single-flight fill,
+        spending the budget up to the ``until`` instant."""
         spec, source = self.cache.get_with_source(key, parent=parent)
         if spec is not None:
             return spec, source
@@ -464,7 +513,8 @@ class QueryService:
                         span.end()
                 with self._counters_lock:
                     self._counters.spec_computes += 1
-                self.cache.put(key, spec)
+                self.cache.put(key, spec, digest=digest,
+                               temporal=tdd.temporal_preds)
                 return spec, COMPUTED
             finally:
                 if claimed:
@@ -502,22 +552,31 @@ class QueryService:
 
     # -- request handling -------------------------------------------------
 
-    def _explain_proof(self, tdd: TDD, query: Query) -> Union[dict, None]:
+    def _explain_proof(self, program: str, tdd: Union[TDD, None],
+                       query: Query) -> Union[dict, None]:
         """Recorded proof payload for a true ground ask (``explain``).
 
         Evaluates the TDD with provenance recording on (cached on the
         TDD, so repeat explains of one program pay BT once) and returns
-        the fact's ancestor sub-DAG plus depth/size summary counts.
+        the fact's ancestor sub-DAG plus depth/size summary counts.  A
+        group answered from its text row passes ``tdd=None``, and the
+        parse memo supplies the TDD of ``program``; admission control
+        applies to that recorded run as to a spec computation.
         Beyond-horizon facts fold through the period first, keeping the
         proof bounded by the window rather than the query timepoint.
-        Returns ``None`` when no proof applies (non-atomic query, or
-        the recorded run cannot reach the fact).
+        Returns ``None`` when no proof applies (non-atomic query, a
+        program the admission gate refuses, or the recorded run cannot
+        reach the fact).
         """
         from ..core.queries import AtomQ
         from ..lang.atoms import Fact
         if not isinstance(query, AtomQ) or not query.atom.is_ground:
             return None
         try:
+            if tdd is None:
+                tdd, _, cost = self._resolve_program(program)
+                if cost is not None and cost > self.max_predicted_cost:
+                    return None
             provenance = tdd.provenance()
             result = tdd.evaluate()
         except ReproError:
@@ -561,12 +620,15 @@ class QueryService:
             payload["expanded"] = list(result.expand(request.expand))
         return payload
 
-    def _serve_parsed(self, tdd: TDD, spec: Union[RelationalSpec, None],
-                      source: Union[str, None], key: str,
-                      request: QueryRequest,
-                      spec_error: Union[EvaluationError, None],
-                      parent: Union[Span, None] = None
-                      ) -> QueryResponse:
+    def _answer(self, request: QueryRequest,
+                spec: Union[RelationalSpec, None],
+                source: Union[str, None], key: str,
+                temporal: frozenset[str], tdd: Union[TDD, None],
+                spec_error: Union[EvaluationError, None],
+                parent: Union[Span, None] = None) -> QueryResponse:
+        """Answer one request on its group's spec.  ``tdd`` is None on
+        the text path, where the spec is always present; without a spec
+        (``spec_error``), the parsed ``tdd`` answers degraded."""
         span = self.telemetry.span("answer", parent=parent,
                                    kind=request.kind)
         degraded = False
@@ -575,7 +637,7 @@ class QueryService:
                 raise ReproError(
                     f"unknown request kind {request.kind!r} "
                     "(expected 'ask' or 'answers')")
-            query = parse_query(request.query, tdd.temporal_preds)
+            query = parse_query(request.query, temporal)
             if request.kind == "ask" and free_variables(query):
                 raise ReproError(
                     "'ask' needs a closed query; use kind='answers' "
@@ -594,7 +656,8 @@ class QueryService:
             proof = None
             if (request.explain and request.kind == "ask"
                     and answer is True and not degraded):
-                proof = self._explain_proof(tdd, query)
+                proof = self._explain_proof(request.program, tdd,
+                                            query)
         except ReproError as exc:
             with self._counters_lock:
                 self._counters.errors += 1
@@ -629,9 +692,9 @@ class QueryService:
                     ) -> list[QueryResponse]:
         """Answer a batch; order of responses matches the requests.
 
-        Requests are grouped by program text: each distinct program is
-        parsed once and its specification acquired once for the whole
-        group.
+        Requests are grouped by program text: each distinct text is
+        looked up once, parsed at most once, and its specification
+        acquired once for the whole group.
 
         ``parent`` is the telemetry span the batch runs under — the
         HTTP front-end passes its per-request root span so the whole
@@ -639,7 +702,7 @@ class QueryService:
         opens its own ``serve.batch`` root, so direct (embedded) use
         is traced identically.  Every response is stamped with the
         trace id and its end-to-end ``duration_ms`` (which includes
-        the request's share of the group's parse + spec acquisition),
+        the group's text lookup, parse and spec acquisition),
         and each duration feeds the service's latency histogram —
         exactly one observation per request, so the histogram count
         reconciles with the ``requests`` counter.  An unexpected
@@ -664,7 +727,8 @@ class QueryService:
         for indexes in groups.values():
             started = time.monotonic()
             try:
-                self._serve_group(requests, indexes, responses, root)
+                self._serve_group(requests, indexes, responses, root,
+                                  started)
             except Exception as exc:
                 self._fail_group(requests, indexes, responses, root,
                                  exc, started)
@@ -675,41 +739,52 @@ class QueryService:
     def _serve_group(self, requests: Sequence[QueryRequest],
                      indexes: list[int],
                      responses: list[Union[QueryResponse, None]],
-                     root: Span) -> None:
-        """Answer one program group of a batch into ``responses``."""
+                     root: Span, started: float) -> None:
+        """Answer one program group of a batch into ``responses``:
+        from the spec its text row names, else by parsing.  A text row
+        whose spec is gone (evicted from a memory-only cache, or its
+        row deleted) takes the parse path too, whose keyed lookup then
+        counts a second miss."""
+        digest = text_digest(requests[indexes[0]].program)
+        named = self.cache.get_text(digest)
+        if named is not None:
+            key, temporal = named
+            spec, source = self.cache.get_with_source(key, parent=root)
+            if spec is not None:
+                self._answer_group(requests, indexes, responses, root,
+                                   started, spec, source, key, temporal)
+                return
+        self._serve_parsed(requests, indexes, responses, root, started,
+                           digest)
+
+    def _serve_parsed(self, requests: Sequence[QueryRequest],
+                      indexes: list[int],
+                      responses: list[Union[QueryResponse, None]],
+                      root: Span, started: float, digest: str) -> None:
+        """The parse path of :meth:`_serve_group`: parse (memoised),
+        admit, acquire the spec by content key, answer."""
         program = requests[indexes[0]].program
         parse_span = self.telemetry.span("parse", parent=root)
         try:
             tdd, key, cost = self._resolve_program(program)
         except ReproError as exc:
             parse_span.set_attribute("error", str(exc))
-            parse_ms = parse_span.end()
+            parse_span.end()
             with self._counters_lock:
                 self._counters.errors += len(indexes)
-            for index in indexes:
-                responses[index] = QueryResponse(
-                    ok=False, kind=requests[index].kind,
-                    error=f"program parse error: {exc}",
-                    duration_ms=parse_ms,
-                    trace_id=root.trace_id)
-                self.latency.observe(parse_ms)
+            self._reject_group(requests, indexes, responses, root,
+                               started, f"program parse error: {exc}")
             return
         parse_span.set_attribute("key", key[:12])
-        parse_ms = parse_span.end()
+        parse_span.end()
         if cost is not None and cost > self.max_predicted_cost:
             with self._counters_lock:
                 self._counters.refused += len(indexes)
-            for index in indexes:
-                responses[index] = QueryResponse(
-                    ok=False, kind=requests[index].kind,
-                    key=key, refused=True,
-                    error=(f"admission control: predicted "
-                           f"evaluation cost {cost:.1f} exceeds "
-                           f"max_predicted_cost="
-                           f"{self.max_predicted_cost:g}"),
-                    duration_ms=parse_ms,
-                    trace_id=root.trace_id)
-                self.latency.observe(parse_ms)
+            self._reject_group(
+                requests, indexes, responses, root, started,
+                f"admission control: predicted evaluation cost "
+                f"{cost:.1f} exceeds max_predicted_cost="
+                f"{self.max_predicted_cost:g}", key=key, refused=True)
             return
         deadlines = [requests[i].deadline for i in indexes]
         if any(d is None for d in deadlines):
@@ -726,23 +801,53 @@ class QueryService:
         spec: Union[RelationalSpec, None] = None
         source: Union[str, None] = None
         spec_error: Union[EvaluationError, None] = None
-        acquire_start = time.monotonic()
         try:
-            spec, source = self.specification(tdd, deadline,
-                                              key=key, parent=root,
-                                              engine=engine)
+            spec, source = self.specification(tdd, deadline, key=key,
+                                              parent=root, engine=engine,
+                                              digest=digest)
         except EvaluationError as exc:
             spec_error = exc
-        overhead_ms = (parse_ms
-                       + (time.monotonic() - acquire_start) * 1e3)
+        self._answer_group(requests, indexes, responses, root, started,
+                           spec, source, key, tdd.temporal_preds, tdd,
+                           spec_error)
+
+    def _answer_group(self, requests: Sequence[QueryRequest],
+                      indexes: list[int],
+                      responses: list[Union[QueryResponse, None]],
+                      root: Span, started: float,
+                      spec: Union[RelationalSpec, None],
+                      source: Union[str, None], key: str,
+                      temporal: frozenset[str],
+                      tdd: Union[TDD, None] = None,
+                      spec_error: Union[EvaluationError, None] = None
+                      ) -> None:
+        """Answer each request of a group; its ``duration_ms`` adds the
+        group's lookup, parse and spec acquisition to its answer."""
+        overhead_ms = (time.monotonic() - started) * 1e3
         for index in indexes:
-            response = self._serve_parsed(
-                tdd, spec, source, key, requests[index],
-                spec_error, parent=root)
+            response = self._answer(requests[index], spec, source, key,
+                                    temporal, tdd, spec_error,
+                                    parent=root)
             response.duration_ms = overhead_ms + response.elapsed_ms
             response.trace_id = root.trace_id
             self.latency.observe(response.duration_ms)
             responses[index] = response
+
+    def _reject_group(self, requests: Sequence[QueryRequest],
+                      indexes: list[int],
+                      responses: list[Union[QueryResponse, None]],
+                      root: Span, started: float, error: str,
+                      key: Union[str, None] = None,
+                      refused: bool = False) -> None:
+        """Answer a whole group ``ok=False`` before any spec work: a
+        parse error, or an admission refusal."""
+        elapsed_ms = (time.monotonic() - started) * 1e3
+        for index in indexes:
+            responses[index] = QueryResponse(
+                ok=False, kind=requests[index].kind, key=key,
+                refused=refused, error=error,
+                duration_ms=elapsed_ms, trace_id=root.trace_id)
+            self.latency.observe(elapsed_ms)
 
     def _fail_group(self, requests: Sequence[QueryRequest],
                     indexes: list[int],
@@ -847,6 +952,9 @@ def render_prometheus(serve: dict, cache: dict, latency,
     counter("repro_explained_total",
             "Responses carrying a recorded proof DAG "
             "(explain: true).", serve["explained"])
+    counter("repro_program_parses_total",
+            "Program texts parsed (a text with a cached spec is "
+            "answered without one).", serve["parses"])
     counter("repro_cache_lookups_total",
             "Spec cache lookups.", cache["lookups"])
     lines.append("# HELP repro_cache_hits_total "

@@ -524,6 +524,25 @@ class TestServeExplain:
         assert response.proof["fact"] == "even(0)"
         assert response.proof["proof_depth"] == 1
 
+    def test_text_hit_still_explains(self, tmp_path):
+        """A text answered from its text row resolves the parsed
+        program for the proof only, and a repeat explain reuses it."""
+        path = tmp_path / "specs.sqlite"
+        QueryService(cache=SpecCache(path)).serve(
+            QueryRequest(program=EVEN, query="even(0)"))
+        service = QueryService(cache=SpecCache(path))
+        first, second = (service.serve(QueryRequest(
+            program=EVEN, query="even(4)", explain=True))
+            for _ in range(2))
+        assert [first.source, second.source] == ["disk", "memory"]
+        assert first.proof == second.proof
+        assert first.proof["fact"] == "even(4)"
+        assert first.proof["proof_depth"] == 3
+        counters = service.counters()
+        assert counters["explained"] == 2
+        assert counters["parses"] == 1
+        assert counters["spec_computes"] == 0
+
     def test_from_dict_accepts_and_validates_explain(self):
         request = QueryRequest.from_dict(
             {"program": EVEN, "query": "even(4)", "explain": True})

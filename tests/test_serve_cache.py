@@ -9,6 +9,7 @@ serve a stale or half-decoded specification.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import multiprocessing
@@ -19,8 +20,11 @@ import pytest
 
 from repro.cli import main
 from repro.core import TDD, compute_specification
-from repro.core.serialize import spec_to_dict
-from repro.serve import DISK, MEMORY, SpecCache, tdd_key
+from repro.core.serialize import FORMAT_VERSION, spec_to_dict
+from repro.lang.errors import ReproError
+from repro.serve import (DISK, MEMORY, QueryRequest, QueryService,
+                         SpecCache, tdd_key)
+from repro.serve.cache import text_digest
 
 EVEN = "even(T+2) :- even(T).\neven(0).\n"
 ODD = "odd(T+2) :- odd(T).\nodd(1).\n"
@@ -48,6 +52,16 @@ def _tamper(path, sql: str, *params) -> None:
     try:
         connection.execute(sql, params)
         connection.commit()
+    finally:
+        connection.close()
+
+
+def _text_rows(path) -> dict:
+    """digest -> key of every text row in a cache file."""
+    connection = sqlite3.connect(str(path))
+    try:
+        return dict(connection.execute(
+            "SELECT digest, key FROM texts").fetchall())
     finally:
         connection.close()
 
@@ -115,6 +129,211 @@ class TestLayers:
         assert counters["lookups"] == (counters["mem_hits"]
                                        + counters["disk_hits"]
                                        + counters["misses"])
+
+
+class TestTextRows:
+    """A raw program text reaches its spec through its text row; a bad
+    text row, or one naming a bad spec row, is a clean miss that takes
+    the parse path and never serves a stale answer."""
+
+    def _seed(self, cache_path) -> str:
+        """Serve EVEN once, storing its spec row and its text row."""
+        service = QueryService(cache=SpecCache(cache_path))
+        response = service.serve(QueryRequest(program=EVEN,
+                                              query="even(0)"))
+        assert _text_rows(cache_path) == {text_digest(EVEN):
+                                          response.key}
+        return response.key
+
+    def _serve_fresh(self, cache_path, query: str = "even(4)"):
+        service = QueryService(cache=SpecCache(cache_path))
+        response = service.serve(QueryRequest(program=EVEN, query=query))
+        return service, response
+
+    def test_text_row_answers_without_a_parse(self, cache_path):
+        key = self._seed(cache_path)
+        service, response = self._serve_fresh(cache_path)
+        assert response.ok and response.answer is True
+        assert response.source == DISK and response.key == key
+        assert service.counters()["parses"] == 0
+        counters = service.cache.counters()
+        assert (counters["lookups"], counters["disk_hits"]) == (1, 1)
+
+    @pytest.mark.parametrize("garbled", [
+        "not json }{", '{"even": 1}', "[1]", '"even"'])
+    def test_garbled_temporal_is_a_clean_miss(self, cache_path,
+                                              garbled):
+        key = self._seed(cache_path)
+        _tamper(cache_path, "UPDATE texts SET temporal = ?", garbled)
+        service, response = self._serve_fresh(cache_path)
+        assert response.ok and response.answer is True
+        assert response.key == key
+        # The parse path found the intact spec row by its key, and
+        # wrote the text row again.
+        assert service.counters()["parses"] == 1
+        assert service.counters()["spec_computes"] == 0
+        assert response.source == DISK
+        assert service.cache.counters()["corrupt"] == 0
+        assert _text_rows(cache_path) == {text_digest(EVEN): key}
+        again, response = self._serve_fresh(cache_path)
+        assert response.answer is True
+        assert again.counters()["parses"] == 0
+
+    def test_version_skewed_text_row_is_a_clean_miss(self, cache_path):
+        key = self._seed(cache_path)
+        _tamper(cache_path, "UPDATE texts SET format = 999")
+        service, response = self._serve_fresh(cache_path)
+        assert response.ok and response.answer is True
+        assert service.counters()["parses"] == 1
+        assert response.source == DISK and response.key == key
+
+    @pytest.mark.parametrize("sql, corrupt", [
+        ("DELETE FROM specs", 0),
+        ("UPDATE specs SET format = 999", 1),
+        ("UPDATE specs SET payload = 'garbage'", 1),
+    ], ids=["deleted", "version-skew", "garbage"])
+    def test_text_row_naming_a_bad_spec_recomputes(self, cache_path,
+                                                   sql, corrupt):
+        key = self._seed(cache_path)
+        # Swap in the spec of another program, which no answer may
+        # come from.
+        odd = TDD.from_text(ODD)
+        _tamper(cache_path, "UPDATE specs SET payload = ?",
+                json.dumps(spec_to_dict(compute_specification(
+                    odd.rules, odd.database))))
+        _tamper(cache_path, sql)
+        service, response = self._serve_fresh(cache_path)
+        assert response.ok and response.answer is True
+        assert response.source == "computed" and response.key == key
+        assert service.counters()["parses"] == 1
+        assert service.counters()["spec_computes"] == 1
+        assert service.cache.counters()["corrupt"] == corrupt
+        assert _text_rows(cache_path) == {text_digest(EVEN): key}
+        again, response = self._serve_fresh(cache_path, "even(5)")
+        assert response.ok and response.answer is False
+        assert again.counters()["parses"] == 0
+
+    def test_row_of_a_text_that_no_longer_parses(self, cache_path):
+        """A parser that starts refusing a text comes with a new
+        FORMAT_VERSION, so the row an older parser wrote for that text
+        is a miss: the request meets the parse error, never the spec
+        the row names."""
+        key = self._seed(cache_path)
+        refused = EVEN + "even(1"
+        _tamper(cache_path, "INSERT INTO texts VALUES (?, ?, ?, ?)",
+                text_digest(refused), key, FORMAT_VERSION - 1,
+                '["even"]')
+        service = QueryService(cache=SpecCache(cache_path))
+        response = service.serve(QueryRequest(program=refused,
+                                              query="even(4)"))
+        assert not response.ok
+        assert response.error.startswith("program parse error")
+        assert service.counters()["parses"] == 1
+        assert _text_rows(cache_path) == {text_digest(EVEN): key}
+
+    def test_invalidate_and_clear_drop_text_rows(self, cache_path,
+                                                 even_spec):
+        key, spec = even_spec
+        cache = SpecCache(cache_path)
+        cache.put(key, spec, digest=text_digest(EVEN),
+                  temporal={"even"})
+        cache.put_text(text_digest(EVEN + "\n"), key, {"even"})
+        cache.put("other", spec, digest=text_digest(ODD),
+                  temporal={"odd"})
+        assert _text_rows(cache_path) == {
+            text_digest(EVEN): key, text_digest(EVEN + "\n"): key,
+            text_digest(ODD): "other"}
+        assert cache.invalidate(key)
+        assert _text_rows(cache_path) == {text_digest(ODD): "other"}
+        assert cache.get_text(text_digest(EVEN)) is None
+        assert cache.get_text(text_digest(ODD)) == ("other",
+                                                    frozenset({"odd"}))
+        assert cache.clear() == 1
+        assert _text_rows(cache_path) == {}
+        assert cache.get_text(text_digest(ODD)) is None
+
+    @pytest.mark.parametrize("on_disk", [True, False],
+                             ids=["file", "memory"])
+    def test_text_map_stays_bounded(self, cache_path, on_disk):
+        cache = SpecCache(cache_path if on_disk else None, memory_size=8)
+        service = QueryService(cache=cache)
+        texts = [EVEN + "\n" * blank for blank in range(200)]
+        for text in texts:
+            response = service.serve(QueryRequest(program=text,
+                                                  query="even(4)"))
+            assert response.ok and response.answer is True
+        assert service.counters()["parses"] == 200
+        assert len(cache._texts) <= cache.memory_size
+        # The most recent text still skips its parse.
+        service.serve(QueryRequest(program=texts[-1], query="even(2)"))
+        assert service.counters()["parses"] == 200
+        if on_disk:
+            assert len(_text_rows(cache_path)) == 200
+
+    def test_counters_reconcile_over_text_hits(self, cache_path):
+        self._seed(cache_path)
+        service, _ = self._serve_fresh(cache_path)
+        for t in range(3):
+            for text in (EVEN, EVEN + "\n"):
+                service.serve(QueryRequest(program=text,
+                                           query=f"even({t})"))
+        counters = service.cache.counters()
+        # One lookup per group: the disk text hit, then memory hits by
+        # text, or by key after the second text's one text miss.
+        assert (counters["lookups"], counters["mem_hits"],
+                counters["disk_hits"], counters["misses"]) == (7, 6, 1, 0)
+        assert service.counters()["parses"] == 1
+
+
+#: Texts covering the program syntax: comments, blank lines, intervals,
+#: negation, declarations, quoted constants, and texts the parser or
+#: the validator refuses.
+PINNED_TEXTS = [
+    "even(T+2) :- even(T).\neven(0).\n",
+    "even(0).\n\neven(T+2) :- even(T).   % the same program\n",
+    "plane(T+7, X) :- plane(T, X), resort(X), offseason(T).\n"
+    "plane(12, hunter).\nresort(hunter).\noffseason(91..364).\n",
+    "out(T) :- slot(T), not jam(T).\nslot(T+1) :- slot(T).\n"
+    "slot(0).\njam(3).\n",
+    "path(K, X, Y) :- null(K), edge(X, Y).\nnull(K+1) :- null(K).\n"
+    "null(0).\nedge(a, b).\n",
+    "@temporal up.\n@nontemporal score.\nscore(3).\nready.\n",
+    "# hash comment\nq(T+1, X) :- q(T, X).\nq(0, 'Hunter Mtn').\n"
+    "r(c7).\n",
+    "p(1).\n",
+    "p(T+1, X) :- q(T).\nq(0).\n",
+    "p(T+1 :- broken",
+    "p(T+1) :- p(T), not q(T).\nq(T+1) :- q(T), not p(T).\np(0).\n",
+    "p(X).\n",
+    "p(T, X) :- q(T), q(X).\nq(T+1) :- q(T).\nq(0).\n",
+    "p(\u0663).\n",
+    "p(" + "9" * 5000 + ").\n",
+]
+
+#: FORMAT_VERSION -> SHA-256 of what PINNED_TEXTS parse to.
+PARSE_PINS = {
+    1: "15e30da6d00d5cc0c68c0ab0edcb2bf0f2002fd5a6aee7773ffe7a6190e0a9ba",
+}
+
+
+def test_parse_results_are_pinned_to_the_format_version():
+    """A text row trusts that, under one FORMAT_VERSION, a text always
+    parses to the same content key and temporal predicates, or is
+    always refused.  A change to parsing that moves what one of these
+    texts parses to must bump FORMAT_VERSION (which turns every older
+    text row into a miss) and pin the new digest here."""
+    results = []
+    for text in PINNED_TEXTS:
+        try:
+            tdd = TDD.from_text(text)
+        except ReproError:
+            results.append(None)
+        else:
+            results.append([tdd_key(tdd), sorted(tdd.temporal_preds)])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert PARSE_PINS.get(FORMAT_VERSION) == digest, (
+        "what the pinned texts parse to changed: bump FORMAT_VERSION "
+        f"in repro.core.serialize and pin {digest}")
 
 
 class TestCorruption:
@@ -187,6 +406,27 @@ class TestCorruption:
         assert response.source == "computed"
         assert response.key == key
         assert service.counters()["spec_computes"] == 1
+
+    def test_removed_file_gets_its_tables_back(self, cache_path,
+                                               even_spec):
+        """The cache file removed while in use: the first operation
+        meets a new, empty file and fails as a miss; the next runs the
+        schema again, and the file works as before."""
+        key, spec = even_spec
+        cache = SpecCache(cache_path)
+        cache.put(key, spec)
+        cache_path.unlink()
+        cache.put("lost", spec)
+        assert cache.counters()["corrupt"] == 1
+        cache.put(key, spec, digest=text_digest(EVEN), temporal={"even"})
+        assert cache.try_claim(key, "mine")
+        assert cache.counters()["corrupt"] == 1
+        fresh = SpecCache(cache_path)
+        assert [entry["key"] for entry in fresh.entries()] == [key]
+        assert fresh.get_text(text_digest(EVEN)) == (key,
+                                                     frozenset({"even"}))
+        assert fresh.get_with_source(key)[1] == DISK
+        assert not fresh.try_claim(key, "other")
 
 
 def _racing_put(path: str, barrier, results) -> None:

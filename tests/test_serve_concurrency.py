@@ -120,6 +120,10 @@ class TestConcurrentServing:
                                        + counters["disk_hits"]
                                        + counters["misses"])
         assert counters["stores"] == len(keys)
+        # Text hits are mixed in: after its first request for a
+        # program, a thread finds the text's row and parses no more.
+        assert service.counters()["parses"] <= THREADS * len(keys)
+        assert counters["lookups"] >= THREADS * len(workload)
         assert service.counters()["requests"] == THREADS * len(workload)
         assert service.counters()["errors"] == 0
 

@@ -7,7 +7,8 @@ paths must agree exactly:
    :class:`~repro.serve.QueryService` backed by a persistent
    :class:`~repro.serve.SpecCache` (so answers flow through program
    normalization, content keying, JSON serialization, SQLite, and
-   deserialization), and
+   deserialization; a second service on the same file reaches the
+   spec through the text's row, without parsing), and
 2. **fresh spec** — :func:`repro.core.compute_specification` straight
    from the in-memory rules/database, and
 3. **direct model-prefix evaluation** — the reference evaluator of
@@ -19,6 +20,10 @@ infinite answer set exactly as the model does.
 """
 
 from __future__ import annotations
+
+import sqlite3
+import tempfile
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -32,6 +37,7 @@ from repro.lang.rules import Rule
 from repro.lang.terms import Const, TimeTerm, Var
 from repro.serve import (QueryRequest, QueryService, SpecCache,
                          normalized_program, program_key)
+from repro.serve.cache import text_digest
 from repro.temporal import TemporalDatabase, bt_evaluate
 
 HORIZON = 14
@@ -118,10 +124,27 @@ def service(tmp_path_factory) -> QueryService:
     return QueryService(cache=SpecCache(path, memory_size=8))
 
 
+@pytest.fixture(scope="module")
+def reader(service) -> QueryService:
+    """A second service on ``service``'s cache file: its maps start
+    empty, so it reaches each spec through the text's row."""
+    return QueryService(cache=SpecCache(service.cache.path,
+                                        memory_size=8))
+
+
 def _program_text(rules, facts) -> str:
     tdd = TDD(rules, facts)
     return normalized_program(tdd.rules, tdd.database.facts(),
                               tdd.temporal_preds)
+
+
+def _reformatted(text: str) -> str:
+    """Another text of the same program: the facts (the last block of
+    a normalized text) reversed, and a blank line after every line."""
+    *blocks, facts = text.strip("\n").split("\n\n")
+    lines = [line for block in blocks for line in block.splitlines()]
+    return "".join(line + "\n\n"
+                   for line in lines + facts.splitlines()[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +176,67 @@ class TestGroundAgreement:
             assert via_cache == via_fresh == via_model, (
                 f"{goal}: cache={via_cache} fresh={via_fresh} "
                 f"model={via_model} for\n{text}")
+
+
+# ---------------------------------------------------------------------------
+# Text rows: answers reached without a parse equal the parse path's
+# ---------------------------------------------------------------------------
+
+class TestTextRowAgreement:
+    @DIFF_SETTINGS
+    @given(programs(), st.lists(ground_goals(), min_size=1, max_size=4))
+    def test_text_rows_answer_like_the_parse_path(self, service, reader,
+                                                  program, goals):
+        rules, facts = program
+        text = _program_text(rules, facts)
+        requests = [QueryRequest(program=text, query=str(goal.to_atom()),
+                                 kind="ask")
+                    for goal in goals]
+        service.serve_batch(requests)  # stores the text's row
+        parsed = QueryService(cache=SpecCache()).serve_batch(requests)
+        parses = reader.counters()["parses"]
+        via_text = reader.serve_batch(requests)
+        assert reader.counters()["parses"] == parses
+        direct = bt_evaluate(rules, TemporalDatabase(facts),
+                             window=HORIZON)
+        for goal, fresh, cached in zip(goals, parsed, via_text):
+            assert fresh.ok and cached.ok, (fresh.error, cached.error)
+            assert cached.source in ("memory", "disk")
+            assert cached.key == fresh.key
+            assert cached.answer == fresh.answer == direct.holds(goal), (
+                f"{goal}: text={cached.answer} parse={fresh.answer} "
+                f"model={direct.holds(goal)} for\n{text}")
+
+    @DIFF_SETTINGS
+    @given(programs(), ground_goals())
+    def test_reformatted_text_parses_once_and_gets_its_row(
+            self, program, goal):
+        rules, facts = program
+        text = _program_text(rules, facts)
+        other = _reformatted(text)
+        assert other != text
+        query = str(goal.to_atom())
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "specs.sqlite"
+            service = QueryService(cache=SpecCache(path))
+            first, second, third = (
+                service.serve(QueryRequest(program=program_text,
+                                           query=query))
+                for program_text in (text, other, other))
+            assert service.counters()["parses"] == 2
+            assert service.counters()["spec_computes"] == 1
+            assert first.key == second.key == third.key
+            assert first.answer == second.answer == third.answer
+            assert [second.source, third.source] == ["memory", "memory"]
+            with sqlite3.connect(str(path)) as connection:
+                texts = dict(connection.execute(
+                    "SELECT digest, key FROM texts").fetchall())
+                specs = connection.execute(
+                    "SELECT key FROM specs").fetchall()
+            connection.close()
+        assert texts == {text_digest(text): first.key,
+                         text_digest(other): first.key}
+        assert specs == [(first.key,)]
 
 
 # ---------------------------------------------------------------------------

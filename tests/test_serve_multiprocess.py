@@ -288,3 +288,21 @@ class TestFrontEndRouting:
         assert good["ok"] is True and good["answer"] is True
         status, stats = point.get_json("/stats")
         assert stats["frontend"]["retries"] == 0
+
+    def test_lone_surrogate_is_400_before_routing(self, tier):
+        """A lone surrogate (legal as a JSON escape, not as UTF-8)
+        fails validation: the whole batch gets a 400 before the
+        front-end counts or routes any of it."""
+        point = tier(workers=2)
+        status, data = point.post_json({"requests": [
+            {"program": "% \ud800\neven(T+2) :- even(T).\neven(0).\n",
+             "query": "even(4)"},
+            {"program": "even(T+2) :- even(T).\neven(0).\n",
+             "query": "even(4)"},
+        ]})
+        assert status == 400 and "surrogate" in data["error"]
+        status, stats = point.get_json("/stats")
+        frontend = stats["frontend"]
+        assert (frontend["requests"], frontend["batches"],
+                frontend["latency"]["count"]) == (0, 0, 0)
+        assert stats["serve"]["requests"] == 0

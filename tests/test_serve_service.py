@@ -323,6 +323,11 @@ class TestRequestValidation:
               ("deadline", "huge", 10 ** 400),
               ("expand", "str", "x"), ("expand", "bool", True),
               ("expand", "float", 2.5)]),
+        # Lone surrogates: JSON escapes them, UTF-8 cannot hold them.
+        pytest.param({"program": "% \ud800\n" + EVEN, "query": "even(0)"},
+                     id="program-surrogate"),
+        pytest.param({"program": EVEN, "query": 'even("\udfff")'},
+                     id="query-surrogate"),
     ])
     def test_from_dict_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -492,6 +497,109 @@ class TestAdmissionControl:
                                   query="plane(12, hunter)"))
         assert "repro_refused_total 1" in strict.prometheus_text()
         assert strict.stats_dict()["serve"]["refused"] == 1
+
+
+class TestTextPath:
+    """A program text whose spec is cached is answered from the spec its
+    text row names, without a parse."""
+
+    def test_warm_requests_do_not_parse(self, service):
+        service.serve(QueryRequest(program=EVEN, query="even(0)"))
+        assert service.counters()["parses"] == 1
+        for t in range(5):
+            response = service.serve(QueryRequest(program=EVEN,
+                                                  query=f"even({t})"))
+            assert response.ok and response.answer is (t % 2 == 0)
+            assert response.source == "memory"
+        assert service.counters()["parses"] == 1
+        # A failed parse counts as well.
+        service.serve(QueryRequest(program="p(T+1 :- broken",
+                                   query="p(0)"))
+        assert service.counters()["parses"] == 2
+        assert "repro_program_parses_total 2" in service.prometheus_text()
+
+    def test_new_service_on_the_same_file_does_not_parse(self, tmp_path):
+        path = tmp_path / "specs.sqlite"
+        QueryService(cache=SpecCache(path)).serve(
+            QueryRequest(program=EVEN, query="even(0)"))
+        fresh = QueryService(cache=SpecCache(path))
+        ask, open_query = fresh.serve_batch([
+            QueryRequest(program=EVEN, query="even(4)"),
+            QueryRequest(program=EVEN, query="even(X)", kind="answers",
+                         expand=4)])
+        assert ask.answer is True
+        assert open_query.answer["expanded"] == [{"X": 0}, {"X": 2},
+                                                 {"X": 4}]
+        assert [ask.source, open_query.source] == ["disk", "disk"]
+        assert fresh.counters()["parses"] == 0
+        cache = fresh.cache.counters()
+        assert (cache["lookups"], cache["disk_hits"]) == (1, 1)
+
+    def test_other_texts_of_a_program_parse_once(self, service):
+        first = service.serve(QueryRequest(program=EVEN, query="even(0)"))
+        spaced = "\n\n" + EVEN.replace("\n", "\n\n")
+        for t in range(3):
+            response = service.serve(QueryRequest(program=spaced,
+                                                  query=f"even({t})"))
+            assert response.key == first.key
+            assert response.source == "memory"
+        assert service.counters()["parses"] == 2
+        assert service.counters()["spec_computes"] == 1
+
+    def test_text_hit_records_a_lookup_span_and_no_parse(self):
+        from repro.obs import ListSink, Telemetry, Tracer
+        sink = ListSink()
+        service = QueryService(cache=SpecCache(),
+                               telemetry=Telemetry(Tracer(sink)))
+        cold = service.serve(QueryRequest(program=EVEN, query="even(0)"))
+        sink.events.clear()
+        service.serve(QueryRequest(program=EVEN, query="even(2)"))
+        names = [e["name"] for e in sink.events]
+        assert "parse" not in names
+        (lookup,) = [e for e in sink.events if e["name"] == "cache.lookup"]
+        assert lookup["attrs"] == {"key": cold.key[:12],
+                                   "outcome": "memory"}
+
+    def test_cached_text_skips_the_admission_estimate(self, monkeypatch,
+                                                      tmp_path):
+        """The gate refuses spec work; a cached spec needs none."""
+        path = tmp_path / "specs.sqlite"
+        QueryService(cache=SpecCache(path)).serve(
+            QueryRequest(program=TRAVEL, query="plane(12, hunter)"))
+        estimates = _count_estimates(monkeypatch)
+        strict = QueryService(cache=SpecCache(path),
+                              max_predicted_cost=1.0)
+        response = strict.serve(QueryRequest(program=TRAVEL,
+                                             query="plane(12, hunter)"))
+        assert response.ok and response.answer is True
+        assert not response.refused and estimates == []
+        # Another text of the program parses, so the gate applies.
+        response = strict.serve(QueryRequest(program=TRAVEL + "\n",
+                                             query="plane(12, hunter)"))
+        assert response.refused and len(estimates) == 1
+
+    def test_text_hit_explains_nothing_past_the_gate(self, monkeypatch,
+                                                     tmp_path):
+        """A proof needs a recorded BT run: that is spec work, and the
+        gate refuses it, though the cached spec still answers."""
+        path = tmp_path / "specs.sqlite"
+        QueryService(cache=SpecCache(path)).serve(
+            QueryRequest(program=TRAVEL, query="plane(12, hunter)"))
+        runs = []
+        evaluate = TDD.evaluate
+        monkeypatch.setattr(TDD, "evaluate", lambda tdd, *args, **kwargs:
+                            runs.append(tdd) or evaluate(tdd, *args,
+                                                         **kwargs))
+        explain = QueryRequest(program=TRAVEL, query="plane(12, hunter)",
+                               explain=True)
+        strict = QueryService(cache=SpecCache(path),
+                              max_predicted_cost=1.0)
+        response = strict.serve(explain)
+        assert response.ok and response.answer is True
+        assert not response.refused and response.proof is None
+        assert runs == [] and strict.counters()["explained"] == 0
+        response = QueryService(cache=SpecCache(path)).serve(explain)
+        assert response.proof is not None and runs
 
 
 class TestInternalErrors:
